@@ -54,7 +54,7 @@ SimulatedCluster::SimulatedCluster(const Options& options) : options_(options) {
   NodeId next = 0;
   for (size_t i = 0; i < options.num_data_nodes; ++i) {
     data_nodes_.push_back(std::make_unique<Node>(next++, NodeKind::kData));
-    partitions_.push_back(std::make_shared<Partition>());
+    partitions_.push_back(std::make_shared<Partition>(0));
   }
   for (size_t i = 0; i < options.num_grid_nodes; ++i) {
     grid_nodes_.push_back(std::make_unique<Node>(next++, NodeKind::kGrid));
@@ -175,8 +175,7 @@ TaskOutcome SimulatedCluster::StoreOnNode(NodeId node_id,
                                           const model::Document& doc,
                                           uint64_t* epoch_at_store) {
   std::shared_ptr<Partition> partition = PartitionFor(node_id);
-  Node* node = data_nodes_[node_id].get();
-  return node->Run([partition, node, doc, epoch_at_store] {
+  return data_nodes_[node_id]->Run([partition, doc, epoch_at_store] {
     // Upsert: drop stale index postings first so re-ingest (new versions,
     // re-replication retries) stays idempotent.
     if (partition->docs.count(doc.id)) {
@@ -184,10 +183,11 @@ TaskOutcome SimulatedCluster::StoreOnNode(NodeId node_id,
     }
     partition->docs[doc.id] = doc;
     partition->inverted.AddDocument(doc.id, doc.Text());
-    // Read the incarnation AFTER the store: if the node dies between here
-    // and the caller recording it as a holder, the epoch mismatch tells
-    // the caller the stored bytes did not survive.
-    if (epoch_at_store != nullptr) *epoch_at_store = node->epoch();
+    // The incarnation the bytes were stored into: if the node has died
+    // since (or before — a task that captured the slot ahead of a
+    // fail/recover cycle stores into the replaced partition), the epoch
+    // mismatch tells the caller the stored bytes did not survive.
+    if (epoch_at_store != nullptr) *epoch_at_store = partition->epoch;
   });
 }
 
@@ -205,6 +205,9 @@ std::shared_ptr<SimulatedCluster::Partition> SimulatedCluster::PartitionFor(
 
 bool SimulatedCluster::StoreReplicated(const model::Document& doc,
                                        size_t copies, ShipStats* stats) {
+  // Store and commit as one unit against migrations: a move between them
+  // would delete the bytes this call is about to record (see move_mutex_).
+  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
   std::vector<NodeId> replicas = PlaceReplicas(doc.id, copies);
   const uint64_t bytes = DocBytes(doc);
   // Only nodes that positively acknowledged the store become holders.
@@ -991,8 +994,9 @@ void SimulatedCluster::RecoverNode(NodeId id) {
     // Rejoins empty: its previous contents were lost with the failure.
     // Swap under the slot mutex — readers copy this shared_ptr
     // concurrently, and an unsynchronized swap races with them.
+    // The fresh partition belongs to the incarnation FailNode started.
     std::lock_guard<std::mutex> lock(partitions_mutex_);
-    partitions_[id] = std::make_shared<Partition>();
+    partitions_[id] = std::make_shared<Partition>(data_nodes_[id]->epoch());
   }
   data_nodes_[id]->Recover();
   {
@@ -1030,6 +1034,9 @@ std::vector<NodeId> SimulatedCluster::DetectFailures() {
 }
 
 SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
+  // No migration may run between a repair copy and its commit: the move's
+  // source delete could erase the copy (see move_mutex_).
+  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
   ReReplicateReport report;
   // Snapshot the under-replicated ids; everything else about this pass is
   // decided against the live directory. The pre-pass holder/copy-count
@@ -1289,10 +1296,9 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     return 0;
   }
   if (!data_nodes_[to]->alive()) return 0;
-  // One migration at a time: a move runs blocking tasks on two node
-  // mailboxes, and two concurrent opposite-direction moves could deadlock
-  // each other's worker threads.
-  std::lock_guard<std::mutex> move_lock(move_mutex_);
+  // One migration at a time, and no repair pass or replicated store in
+  // flight (see move_mutex_).
+  std::unique_lock<std::shared_mutex> move_lock(move_mutex_);
   uint64_t lo = 0;
   uint64_t hi_excl = 0;
   bool is_last = false;
@@ -1590,13 +1596,37 @@ SimulatedCluster::IntegrityReport SimulatedCluster::CheckIntegrity() const {
   IntegrityReport report;
   {
     std::lock_guard<std::mutex> lock(directory_mutex_);
+    // Valid holders per node, with the node's current incarnation (every
+    // valid holder of one node carries it).
+    std::map<NodeId, std::pair<uint64_t, std::vector<model::DocId>>> listed;
     for (const auto& [id, entry] : directory_) {
       std::set<NodeId> seen;
+      bool duplicate = false;
       for (const Holder& holder : entry.holders) {
-        if (!seen.insert(holder.node).second) {
-          ++report.duplicate_holders;
-          break;
-        }
+        if (!seen.insert(holder.node).second) duplicate = true;
+        if (!HolderStillValid(holder.node, holder.epoch)) continue;
+        auto& [epoch, ids] = listed[holder.node];
+        epoch = holder.epoch;
+        ids.push_back(id);
+      }
+      if (duplicate) ++report.duplicate_holders;
+    }
+    // One probe per node on its own mailbox, with the directory lock still
+    // held so no commit can add or retarget a holder meanwhile (no data-node
+    // task takes directory_mutex_). A node that dies during its probe has
+    // invalidated its holders, so its result is discarded.
+    for (const auto& [node, listing] : listed) {
+      const auto& [epoch, ids] = listing;
+      std::shared_ptr<Partition> partition = PartitionFor(node);
+      size_t absent = 0;
+      const TaskOutcome outcome =
+          data_nodes_[node]->Run([partition, &ids, &absent] {
+            for (model::DocId id : ids) {
+              if (!partition->docs.count(id)) ++absent;
+            }
+          });
+      if (outcome == TaskOutcome::kExecuted && HolderStillValid(node, epoch)) {
+        report.phantom_holders += absent;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,7 +214,10 @@ class SimulatedCluster {
   // copying from surviving holders. Copy counts and early-stops are
   // validated against the *live* directory (not the pass's snapshot), so a
   // source holder dying mid-pass cannot fake completion, and a node is
-  // never recorded as a holder twice for one document.
+  // never recorded as a holder twice for one document. The pass is
+  // serialized with partition migrations (move_mutex_), so it never
+  // records a copy on a move's source that the move then deletes: every
+  // holder it commits holds the bytes.
   struct ReReplicateReport {
     uint64_t bytes_copied = 0;
     // Documents the pass attempted but could not bring back to their
@@ -272,7 +276,9 @@ class SimulatedCluster {
   // in-flight scatter routed at the old holder either finds the bytes
   // still there (delete not yet applied) or detects the absence and
   // re-routes through the directory to the new home — never a silently
-  // half-moved partition. Returns the number of documents moved.
+  // half-moved partition. No repair pass or replicated store runs during
+  // the move (move_mutex_), so none can re-commit the source as a holder
+  // of bytes the move deletes. Returns the number of documents moved.
   size_t MovePartitionReplica(PartitionId pid, NodeId from, NodeId to);
 
   // One autonomic balancing pass: split every partition over the
@@ -298,19 +304,27 @@ class SimulatedCluster {
 
   // Structural invariants, checked on demand by chaos tests and the
   // rebalance bench after every step: the directory never lists one node
-  // twice for a document, and the partition table is a gapless,
-  // non-overlapping cover of the routing-key space with valid, distinct
-  // replica targets.
+  // twice for a document, every valid holder it lists really holds the
+  // document's bytes (no phantom holders), and the partition table is a
+  // gapless, non-overlapping cover of the routing-key space with valid,
+  // distinct replica targets. The phantom check probes each node that
+  // holds documents once, on its own mailbox, while the directory mutex is
+  // held — a blocking round trip per node, so this is a test/bench tool,
+  // not a hot-path call.
   struct IntegrityReport {
     size_t duplicate_holders = 0;      // docs listing one node >= twice
+    // Valid (alive, same-incarnation) holders whose partition lacks the
+    // document: queries route there and find nothing, and repair counts
+    // them as copies that do not exist.
+    size_t phantom_holders = 0;
     size_t table_coverage_violations = 0;  // first range does not start at 0
     size_t duplicate_partition_ids = 0;
     size_t empty_replica_sets = 0;
     size_t invalid_replica_targets = 0;  // out of range or listed twice
     bool ok() const {
-      return duplicate_holders == 0 && table_coverage_violations == 0 &&
-             duplicate_partition_ids == 0 && empty_replica_sets == 0 &&
-             invalid_replica_targets == 0;
+      return duplicate_holders == 0 && phantom_holders == 0 &&
+             table_coverage_violations == 0 && duplicate_partition_ids == 0 &&
+             empty_replica_sets == 0 && invalid_replica_targets == 0;
     }
   };
   IntegrityReport CheckIntegrity() const;
@@ -331,11 +345,16 @@ class SimulatedCluster {
 
  private:
   struct Partition {
-    // Only the owning node's thread touches this (all access is routed
-    // through Node::Run), except bulk copies during re-replication which
-    // take the directory mutex first. Held by shared_ptr: node recovery
+    // Only the owning node's thread touches `docs` and `inverted` (all
+    // access is routed through Node::Run). Held by shared_ptr: node recovery
     // swaps in a fresh partition, and a task still running against the old
     // incarnation must keep its (doomed, epoch-checked) object alive.
+    explicit Partition(uint64_t incarnation) : epoch(incarnation) {}
+    // The node incarnation this partition belongs to. A store reports this,
+    // not the node's epoch at the time: a task that captured the slot just
+    // before a fail/recover cycle swapped it writes into the old partition,
+    // and must not be recorded as a holder of the new incarnation.
+    const uint64_t epoch;
     std::map<model::DocId, model::Document> docs;
     index::InvertedIndex inverted;
   };
@@ -433,10 +452,11 @@ class SimulatedCluster {
   void AdjustPartitionDocCount(model::DocId id, int64_t delta);
   // Stores `doc` on the node's partition and reports the definitive
   // outcome; only kExecuted means the node actually held the document when
-  // the store ran. `epoch_at_store` (optional) receives the node's
-  // incarnation observed right after the store — callers recording the
-  // node as a holder must re-check it with HolderStillValid, because a
-  // fail/recover cycle in between wipes the partition.
+  // the store ran. `epoch_at_store` (optional) receives the incarnation of
+  // the partition the bytes went into — callers recording the node as a
+  // holder must re-check it with HolderStillValid, because a fail/recover
+  // cycle before or after the store leaves the bytes in a replaced
+  // partition.
   TaskOutcome StoreOnNode(NodeId node, const model::Document& doc,
                           uint64_t* epoch_at_store = nullptr);
   // True while `node` is alive in the same incarnation: bytes stored at
@@ -482,10 +502,17 @@ class SimulatedCluster {
   // mutable: point reads (Get) bump per-partition traffic counters.
   mutable std::map<uint64_t, PartitionState> ptable_;
   PartitionId next_pid_ = 0;
-  // Serializes partition migrations: a move runs blocking tasks on two
-  // node mailboxes, and two concurrent opposite-direction moves could
-  // otherwise deadlock each other's worker threads.
-  std::mutex move_mutex_;
+  // Excludes partition migrations (exclusive) from each other and from
+  // every path that stores bytes and then commits holders — ReReplicate and
+  // StoreReplicated (shared). Two concurrent opposite-direction moves could
+  // deadlock each other's worker threads; and a store that lands on a
+  // move's source after the holder swap, then commits that source, has its
+  // bytes erased by the move's source delete (for a same-version repair
+  // copy the version re-check cannot tell). Holding this keeps the
+  // directory invariant: a valid holder always holds the document's bytes.
+  // Never held while waiting on anything that takes it; no node task takes
+  // it.
+  std::shared_mutex move_mutex_;
 
   // Background balancer.
   mutable std::mutex balancer_mutex_;

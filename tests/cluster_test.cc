@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -612,6 +613,91 @@ TEST(ClusterTest, ConcurrentReReplicatePassesRecordNoDuplicateHolders) {
   for (std::thread& thread : repairers) thread.join();
   EXPECT_EQ(cluster.CheckIntegrity().duplicate_holders, 0u);
   EXPECT_EQ(cluster.num_fully_replicated_documents(), 80u);
+}
+
+// Moves every tablet's primary to the next node that is alive and not yet
+// one of its targets, until `stop`.
+void ShuttleTablets(SimulatedCluster* cluster, const std::atomic<bool>* stop) {
+  const size_t nodes = cluster->data_nodes().size();
+  while (!stop->load()) {
+    for (const auto& desc : cluster->PartitionTable()) {
+      const NodeId from = desc.replicas[0];
+      for (size_t step = 1; step < nodes; ++step) {
+        const NodeId to = static_cast<NodeId>((from + step) % nodes);
+        if (std::count(desc.replicas.begin(), desc.replicas.end(), to) == 0 &&
+            cluster->data_nodes()[to]->alive()) {
+          cluster->MovePartitionReplica(desc.pid, from, to);
+          break;
+        }
+      }
+    }
+  }
+}
+
+TEST(ClusterTest, RepairRacingMigrationsLeavesNoPhantomHolders) {
+  SimulatedCluster cluster({.num_data_nodes = 4, .replication = 2});
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_TRUE(cluster.Ingest(Order("x", i)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::thread mover([&] { ShuttleTablets(&cluster, &stop); });
+  std::thread repairer([&] {
+    while (!stop.load()) {
+      cluster.DetectFailures();
+      cluster.ReReplicate();
+    }
+  });
+  // Every kill leaves a surviving replica (the node rejoins before the
+  // next kill and repair refills it), so no document may be lost — and a
+  // repair copy planted on a migration's source must not be deleted by
+  // that migration while the directory still names it.
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    const NodeId victim = static_cast<NodeId>(cycle % 4);
+    cluster.FailNode(victim);
+    cluster.DetectFailures();
+    cluster.RecoverNode(victim);
+    cluster.ReReplicate();
+    EXPECT_EQ(cluster.CheckIntegrity().phantom_holders, 0u) << "cycle " << cycle;
+  }
+  stop.store(true);
+  mover.join();
+  repairer.join();
+  cluster.DetectFailures();
+  cluster.ReReplicate();
+  EXPECT_TRUE(cluster.CheckIntegrity().ok());
+  EXPECT_EQ(cluster.num_fully_replicated_documents(), 80u);
+}
+
+TEST(ClusterTest, UpdatesRacingMigrationsLeaveNoPhantomHolders) {
+  SimulatedCluster cluster({.num_data_nodes = 4, .replication = 2});
+  std::vector<Document> docs;
+  for (int i = 0; i < 40; ++i) {
+    Document doc = Order("x", i);
+    Result<model::DocId> id = cluster.Ingest(doc);
+    ASSERT_TRUE(id.ok());
+    doc.id = *id;
+    doc.version = 1;
+    docs.push_back(doc);
+  }
+  std::atomic<bool> stop{false};
+  std::thread mover([&] { ShuttleTablets(&cluster, &stop); });
+  // Re-ingesting a document under its id is how a fronting store mirrors
+  // an update: the new version lands on the tablet's current targets,
+  // which may be a migration's source until that migration finishes.
+  for (int round = 0; round < 40; ++round) {
+    for (Document& doc : docs) {
+      doc.version += 1;
+      EXPECT_TRUE(cluster.Ingest(doc).ok());
+    }
+  }
+  stop.store(true);
+  mover.join();
+  EXPECT_TRUE(cluster.CheckIntegrity().ok());
+  for (const Document& doc : docs) {
+    Result<Document> got = cluster.Get(doc.id);
+    ASSERT_TRUE(got.ok()) << "doc " << doc.id;
+    EXPECT_EQ(got->version, doc.version) << "doc " << doc.id;
+  }
 }
 
 TEST(ClusterTest, ReReplicateReportsUnrestorableDocs) {
