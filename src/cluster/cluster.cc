@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <iterator>
+#include <tuple>
 #include <utility>
 
 #include "common/clock.h"
@@ -45,6 +47,48 @@ PartitionMetrics& Metrics() {
 }
 }  // namespace
 
+// ------------------------------------------------------------ KeyRanges
+
+uint64_t KeyRanges::RouteKey(bool raw_ids, model::DocId id) {
+  return raw_ids ? id : Mix64(id);
+}
+
+void KeyRanges::Add(uint64_t lo, uint64_t hi) {
+  const std::pair<uint64_t, uint64_t> range(lo, hi);
+  ranges_.insert(std::upper_bound(ranges_.begin(), ranges_.end(), range),
+                 range);
+}
+
+bool KeyRanges::ContainsKey(uint64_t key) const {
+  // The last range starting at or below `key` is the only candidate.
+  auto it = std::upper_bound(
+      ranges_.begin(), ranges_.end(), key,
+      [](uint64_t k, const std::pair<uint64_t, uint64_t>& range) {
+        return k < range.first;
+      });
+  return it != ranges_.begin() && key <= std::prev(it)->second;
+}
+
+// ------------------------------------------------------------ Partition
+
+void SimulatedCluster::Partition::Put(model::DocId id, Stored stored,
+                                      std::string_view text) {
+  auto [it, inserted] = docs.try_emplace(id);
+  if (!inserted) inverted.RemoveDocument(id);
+  it->second = std::move(stored);
+  inverted.AddDocument(id, text);
+}
+
+void SimulatedCluster::Partition::Erase(model::DocId id) {
+  if (docs.erase(id) > 0) inverted.RemoveDocument(id);
+}
+
+model::Document SimulatedCluster::Partition::Decode(const Stored& stored) {
+  model::Document doc;
+  IMPLIANCE_CHECK(model::Document::Decode(stored.bytes, &doc));
+  return doc;
+}
+
 SimulatedCluster::SimulatedCluster(const Options& options) : options_(options) {
   IMPLIANCE_CHECK(options.num_data_nodes > 0);
   IMPLIANCE_CHECK(options.num_grid_nodes > 0);
@@ -63,9 +107,9 @@ SimulatedCluster::SimulatedCluster(const Options& options) : options_(options) {
     cluster_nodes_.push_back(std::make_unique<Node>(next++, NodeKind::kCluster));
   }
   // Carve the initial partition table: equal-width routing-key ranges,
-  // replica targets assigned round-robin so the static layout matches the
-  // old hash ring's even spread. The first range must start at 0 — the
-  // table is a gapless cover of the key space.
+  // holders assigned round-robin so the static layout matches the old hash
+  // ring's even spread. The first range must start at 0 — the table is a
+  // gapless cover of the key space.
   const size_t tablets =
       std::max<size_t>(1, options.initial_partitions_per_node) *
       options.num_data_nodes;
@@ -73,22 +117,17 @@ SimulatedCluster::SimulatedCluster(const Options& options) : options_(options) {
   for (size_t i = 0; i < tablets; ++i) {
     PartitionState state;
     state.pid = next_pid_++;
+    state.copies = options.replication;
     const size_t primary = i % options.num_data_nodes;
     for (size_t r = 0; r < options.replication; ++r) {
-      state.replicas.push_back(
-          static_cast<NodeId>((primary + r) % options.num_data_nodes));
+      state.holders.push_back(Holder{
+          static_cast<NodeId>((primary + r) % options.num_data_nodes), 0});
     }
     ptable_.emplace(width * i, std::move(state));
   }
 }
 
 SimulatedCluster::~SimulatedCluster() { StopBalancer(); }
-
-uint64_t SimulatedCluster::DocBytes(const model::Document& doc) {
-  std::string encoded;
-  doc.Encode(&encoded);
-  return encoded.size();
-}
 
 void SimulatedCluster::AccountTraffic(const ShipStats& stats) {
   std::lock_guard<std::mutex> lock(traffic_mutex_);
@@ -120,75 +159,26 @@ bool SimulatedCluster::RunOnPool(const std::vector<std::unique_ptr<Node>>& pool,
   return false;
 }
 
-uint64_t SimulatedCluster::RouteKey(model::DocId id) const {
-  return options_.key_range_partitioning ? id : Mix64(id);
+
+// ------------------------------------------------------ Partition table
+
+SimulatedCluster::Table::iterator SimulatedCluster::TabletFor(
+    uint64_t key) const {
+  auto it = ptable_.upper_bound(key);
+  return --it;  // the table always has an entry at key 0
 }
 
-std::vector<NodeId> SimulatedCluster::PlaceReplicas(model::DocId id,
-                                                    size_t copies) const {
-  const size_t n = data_nodes_.size();
-  copies = std::min(copies, n);
-  std::vector<NodeId> nodes;
-  {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    auto it = ptable_.upper_bound(RouteKey(id));
-    --it;  // the table always has an entry at key 0
-    for (NodeId node : it->second.replicas) {
-      if (nodes.size() >= copies) break;
-      if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
-        nodes.push_back(node);
-      }
-    }
+uint64_t SimulatedCluster::TabletEnd(Table::const_iterator it) const {
+  auto next = std::next(it);
+  return next == ptable_.end() ? UINT64_MAX : next->first - 1;
+}
+
+SimulatedCluster::Table::iterator SimulatedCluster::FindTablet(
+    PartitionId pid) const {
+  for (auto it = ptable_.begin(); it != ptable_.end(); ++it) {
+    if (it->second.pid == pid) return it;
   }
-  // A caller wanting more copies than the tablet is configured with
-  // (per-class storage policy) extends ring-wise past the table's targets.
-  NodeId walk = nodes.empty() ? static_cast<NodeId>(Mix64(id) % n)
-                              : static_cast<NodeId>((nodes.back() + 1) % n);
-  while (nodes.size() < copies) {
-    if (std::find(nodes.begin(), nodes.end(), walk) == nodes.end()) {
-      nodes.push_back(walk);
-    }
-    walk = static_cast<NodeId>((walk + 1) % n);
-  }
-  return nodes;
-}
-
-void SimulatedCluster::BumpPartitionTraffic(model::DocId id) const {
-  std::lock_guard<std::mutex> lock(ptable_mutex_);
-  auto it = ptable_.upper_bound(RouteKey(id));
-  --it;
-  ++it->second.traffic;
-}
-
-void SimulatedCluster::AdjustPartitionDocCount(model::DocId id, int64_t delta) {
-  std::lock_guard<std::mutex> lock(ptable_mutex_);
-  auto it = ptable_.upper_bound(RouteKey(id));
-  --it;
-  if (delta < 0 && it->second.doc_count < static_cast<uint64_t>(-delta)) {
-    it->second.doc_count = 0;
-  } else {
-    it->second.doc_count += delta;
-  }
-}
-
-TaskOutcome SimulatedCluster::StoreOnNode(NodeId node_id,
-                                          const model::Document& doc,
-                                          uint64_t* epoch_at_store) {
-  std::shared_ptr<Partition> partition = PartitionFor(node_id);
-  return data_nodes_[node_id]->Run([partition, doc, epoch_at_store] {
-    // Upsert: drop stale index postings first so re-ingest (new versions,
-    // re-replication retries) stays idempotent.
-    if (partition->docs.count(doc.id)) {
-      partition->inverted.RemoveDocument(doc.id);
-    }
-    partition->docs[doc.id] = doc;
-    partition->inverted.AddDocument(doc.id, doc.Text());
-    // The incarnation the bytes were stored into: if the node has died
-    // since (or before — a task that captured the slot ahead of a
-    // fail/recover cycle stores into the replaced partition), the epoch
-    // mismatch tells the caller the stored bytes did not survive.
-    if (epoch_at_store != nullptr) *epoch_at_store = partition->epoch;
-  });
+  return ptable_.end();
 }
 
 bool SimulatedCluster::HolderStillValid(NodeId node,
@@ -197,59 +187,163 @@ bool SimulatedCluster::HolderStillValid(NodeId node,
          data_nodes_[node]->epoch() == epoch_at_store;
 }
 
+const SimulatedCluster::Holder* SimulatedCluster::Primary(
+    const PartitionState& state) const {
+  for (const Holder& holder : state.holders) {
+    if (HolderStillValid(holder.node, holder.epoch)) return &holder;
+  }
+  return nullptr;
+}
+
+size_t SimulatedCluster::ValidHolders(const PartitionState& state) const {
+  size_t valid = 0;
+  for (const Holder& holder : state.holders) {
+    if (HolderStillValid(holder.node, holder.epoch)) ++valid;
+  }
+  return valid;
+}
+
+void SimulatedCluster::PruneHolders(PartitionState* state) const {
+  state->holders.erase(
+      std::remove_if(state->holders.begin(), state->holders.end(),
+                     [this](const Holder& holder) {
+                       return !HolderStillValid(holder.node, holder.epoch);
+                     }),
+      state->holders.end());
+}
+
+std::vector<NodeId> SimulatedCluster::SpareNodes(
+    const PartitionState& state) const {
+  const size_t n = data_nodes_.size();
+  const size_t start =
+      state.holders.empty() ? state.pid : state.holders.front().node + 1;
+  std::vector<NodeId> spare;
+  for (size_t step = 0; step < n; ++step) {
+    const NodeId node = static_cast<NodeId>((start + step) % n);
+    const bool listed =
+        std::any_of(state.holders.begin(), state.holders.end(),
+                    [node](const Holder& holder) { return holder.node == node; });
+    if (!listed && data_nodes_[node]->alive()) spare.push_back(node);
+  }
+  return spare;
+}
+
+void SimulatedCluster::BumpPartitionTraffic(model::DocId id) const {
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  ++TabletFor(RouteKey(id))->second.traffic;
+}
+
 std::shared_ptr<SimulatedCluster::Partition> SimulatedCluster::PartitionFor(
     NodeId node) const {
   std::lock_guard<std::mutex> lock(partitions_mutex_);
   return partitions_[node];
 }
 
+// --------------------------------------------------------------- Ingest
+
 bool SimulatedCluster::StoreReplicated(const model::Document& doc,
-                                       size_t copies, ShipStats* stats) {
-  // Store and commit as one unit against migrations: a move between them
-  // would delete the bytes this call is about to record (see move_mutex_).
+                                       ShipStats* stats) {
+  Partition::Stored stored{doc.version, {}};
+  doc.Encode(&stored.bytes);
+  const std::string text = doc.Text();
+  // Writers share move_mutex_: no migration or split runs between this
+  // store and its commit.
   std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
-  std::vector<NodeId> replicas = PlaceReplicas(doc.id, copies);
-  const uint64_t bytes = DocBytes(doc);
-  // Only nodes that positively acknowledged the store become holders.
-  // Trusting the submit-time ack recorded phantom replicas whenever a node
-  // died (or dropped the task) between accept and apply.
-  std::vector<std::pair<NodeId, uint64_t>> acked;  // node, epoch at store
-  for (NodeId node : replicas) {
-    if (!data_nodes_[node]->alive()) continue;
-    ++stats->tasks;
-    uint64_t epoch = 0;
-    if (StoreOnNode(node, doc, &epoch) != TaskOutcome::kExecuted) continue;
-    stats->bytes_shipped += bytes;
-    stats->rows_shipped += 1;
-    acked.emplace_back(node, epoch);
-  }
-  bool was_new = false;
-  bool recorded = false;
+  const uint64_t key = RouteKey(doc.id);
+  struct Ack {
+    Holder target;
+    bool stored = false;
+    bool was_new = false;
+  };
+  std::vector<Ack> acks;  // one per node written
+  std::vector<Holder> targets;
+  auto acked = [&acks](const Holder& holder) {
+    return std::find_if(acks.begin(), acks.end(), [&](const Ack& ack) {
+      return ack.target.node == holder.node &&
+             ack.target.epoch == holder.epoch;
+    });
+  };
   {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    // Re-check each ack under the directory lock: a node that failed (and
-    // possibly rejoined empty) since the store executed no longer has the
-    // bytes, and recording it would plant a silent miss in the directory.
-    std::vector<Holder> holders;
-    for (const auto& [node, epoch] : acked) {
-      if (HolderStillValid(node, epoch)) holders.push_back(Holder{node, epoch});
-    }
-    if (!holders.empty()) {
-      was_new = directory_.find(doc.id) == directory_.end();
-      DirEntry& entry = directory_[doc.id];
-      entry.desired = static_cast<uint8_t>(copies);
-      entry.holders = std::move(holders);
-      InvalidateOwnershipLocked();
-      recorded = true;
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    PartitionState& state = TabletFor(key)->second;
+    PruneHolders(&state);
+    if (state.holders.empty() && state.doc_count == 0) {
+      // An empty tablet that lost its holders has nothing to lose: seed it
+      // on alive nodes. One with documents stays lost (see Ingest).
+      for (NodeId node : SpareNodes(state)) {
+        if (state.holders.size() >= state.copies) break;
+        state.holders.push_back(Holder{node, data_nodes_[node]->epoch()});
+      }
     }
   }
-  if (recorded && was_new) AdjustPartitionDocCount(doc.id, 1);
-  return recorded;
+  for (;;) {
+    std::unique_lock<std::mutex> lock(ptable_mutex_);
+    PartitionState& state = TabletFor(key)->second;
+    // Every holder and joining node not written yet — a node that joined
+    // after the repair's snapshot of the source must get this write.
+    targets.clear();
+    for (const auto* list : {&state.holders, &state.joining}) {
+      for (const Holder& holder : *list) {
+        if (acked(holder) == acks.end() &&
+            HolderStillValid(holder.node, holder.epoch)) {
+          targets.push_back(holder);
+        }
+      }
+    }
+    if (targets.empty()) {
+      // Commit, under the same lock that saw nobody left to write to. The
+      // first holder that took the store decides whether the document is
+      // new to the tablet (all valid holders hold the same ids).
+      const Ack* first = nullptr;
+      for (const Holder& holder : state.holders) {
+        auto ack = acked(holder);
+        if (ack != acks.end() && ack->stored &&
+            HolderStillValid(holder.node, holder.epoch)) {
+          first = &*ack;
+          break;
+        }
+      }
+      if (first == nullptr) return false;
+      // A node that stayed valid but did not take the store lacks this
+      // document now: it is no longer a holder (or joining) of the tablet.
+      auto missed = [&](const Holder& holder) {
+        auto ack = acked(holder);
+        return ack != acks.end() && !ack->stored &&
+               HolderStillValid(holder.node, holder.epoch);
+      };
+      for (auto* list : {&state.holders, &state.joining}) {
+        list->erase(std::remove_if(list->begin(), list->end(), missed),
+                    list->end());
+      }
+      if (first->was_new) ++state.doc_count;
+      return true;
+    }
+    lock.unlock();
+    for (const Holder& target : targets) {
+      Ack& ack = acks.emplace_back(Ack{target});
+      ++stats->tasks;
+      std::shared_ptr<Partition> partition = PartitionFor(target.node);
+      const TaskOutcome outcome = data_nodes_[target.node]->Run([&] {
+        ack.was_new = partition->docs.count(doc.id) == 0;
+        partition->Put(doc.id, stored, text);
+      });
+      // Only a store into the incarnation the tablet lists counts: a
+      // fail/recover cycle before the task ran leaves the bytes in a
+      // replaced (or fresh, unlisted) partition.
+      ack.stored = outcome == TaskOutcome::kExecuted &&
+                   partition->epoch == target.epoch;
+      if (ack.stored) {
+        stats->bytes_shipped += stored.bytes.size();
+        stats->rows_shipped += 1;
+      }
+    }
+  }
 }
 
 Result<model::DocId> SimulatedCluster::Ingest(model::Document doc,
                                               size_t copies) {
-  if (copies == 0) copies = options_.replication;
+  copies = std::min(copies == 0 ? options_.replication : copies,
+                    data_nodes_.size());
   if (doc.id == model::kInvalidDocId) {
     doc.id = next_id_.fetch_add(1);
   } else {
@@ -262,11 +356,31 @@ Result<model::DocId> SimulatedCluster::Ingest(model::Document doc,
   }
   if (doc.version == 0) doc.version = 1;
   BumpPartitionTraffic(doc.id);
+  // More copies than the tablet had: the count rises for good, and the
+  // tablet gains holders first, through the same routine repair uses.
+  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
+  PartitionId raised = 0;
+  bool rose = false;
+  {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    PartitionState& state = TabletFor(RouteKey(doc.id))->second;
+    rose = copies > state.copies;
+    if (rose) state.copies = copies;
+    raised = state.pid;
+  }
+  if (rose) {
+    std::lock_guard<std::mutex> repair_lock(repair_mutex_);
+    bool restored = false;
+    const uint64_t copied = AddReplicasLocked(raised, &restored);
+    std::lock_guard<std::mutex> lock(traffic_mutex_);
+    lifetime_traffic_.bytes_shipped += copied;
+  }
+  move_lock.unlock();
   ShipStats stats;
-  const bool recorded = StoreReplicated(doc, copies, &stats);
+  const bool recorded = StoreReplicated(doc, &stats);
   AccountTraffic(stats);
   if (!recorded) {
-    return Status::IOError("no replica target acknowledged document");
+    return Status::IOError("no holder of the document's tablet acknowledged it");
   }
   return doc.id;
 }
@@ -275,217 +389,167 @@ Result<model::Document> SimulatedCluster::Get(model::DocId id) const {
   BumpPartitionTraffic(id);  // point reads heat the partition like ingests
   std::vector<Holder> holders;
   {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    auto it = directory_.find(id);
-    if (it == directory_.end()) {
-      return Status::NotFound("no such document: " + std::to_string(id));
-    }
-    holders = it->second.holders;
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    holders = TabletFor(RouteKey(id))->second.holders;
   }
   for (const Holder& holder : holders) {
     if (!HolderStillValid(holder.node, holder.epoch)) continue;
     std::shared_ptr<Partition> partition = PartitionFor(holder.node);
-    model::Document doc;
+    Partition::Stored stored;
     bool found = false;
-    const TaskOutcome outcome =
-        data_nodes_[holder.node]->Run([partition, id, &doc, &found] {
-          auto it = partition->docs.find(id);
-          if (it != partition->docs.end()) {
-            doc = it->second;
-            found = true;
-          }
-        });
-    if (outcome == TaskOutcome::kExecuted && found) return doc;
+    const TaskOutcome outcome = data_nodes_[holder.node]->Run([&] {
+      auto it = partition->docs.find(id);
+      if (it != partition->docs.end()) {
+        stored = it->second;
+        found = true;
+      }
+    });
+    if (outcome == TaskOutcome::kExecuted && found &&
+        partition->epoch == holder.epoch) {
+      return Partition::Decode(stored);
+    }
   }
-  return Status::NotFound("all replicas unavailable: " + std::to_string(id));
+  return Status::NotFound("no such document on a live holder: " +
+                          std::to_string(id));
 }
 
 size_t SimulatedCluster::num_documents() const {
-  std::lock_guard<std::mutex> lock(directory_mutex_);
-  return directory_.size();
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  size_t total = 0;
+  for (const auto& [bound, state] : ptable_) total += state.doc_count;
+  return total;
 }
 
-std::shared_ptr<const SimulatedCluster::OwnershipSnapshot>
-SimulatedCluster::OwnershipByNode(size_t* orphaned) const {
-  std::lock_guard<std::mutex> lock(directory_mutex_);
-  if (ownership_cache_ == nullptr) {
-    auto snapshot = std::make_shared<OwnershipSnapshot>();
-    size_t orphan_count = 0;
-    for (const auto& [id, entry] : directory_) {
-      bool owned = false;
-      for (const Holder& holder : entry.holders) {
-        if (HolderStillValid(holder.node, holder.epoch)) {
-          snapshot->by_node[holder.node].insert(id);
-          snapshot->epochs[holder.node] = holder.epoch;
-          owned = true;
-          break;  // first valid holder owns the doc for queries
-        }
-      }
-      if (!owned) ++orphan_count;
-    }
-    ownership_cache_ = snapshot;
-    orphaned_docs_ = orphan_count;
-  }
-  if (orphaned != nullptr) *orphaned = orphaned_docs_;
-  return ownership_cache_;
-}
-
-std::vector<SimulatedCluster::PartitionAssignment>
-SimulatedCluster::RerouteLost(const std::vector<PartitionAssignment>& lost,
-                              ShipStats* stats) const {
-  std::map<NodeId, std::set<model::DocId>> regrouped;
-  std::map<NodeId, uint64_t> epochs;
-  std::lock_guard<std::mutex> lock(directory_mutex_);
-  for (const PartitionAssignment& assignment : lost) {
-    bool rerouted_any = false;
-    for (model::DocId id : *assignment.docs) {
-      // DetectFailures just pruned dead and stale holders, so the first
-      // valid holder is the failover target. A node that dropped the task
-      // but stayed alive is its own valid retry target.
-      NodeId target = 0;
-      bool found = false;
-      auto it = directory_.find(id);
-      if (it != directory_.end()) {
-        for (const Holder& holder : it->second.holders) {
-          if (HolderStillValid(holder.node, holder.epoch)) {
-            target = holder.node;
-            epochs[holder.node] = holder.epoch;
-            found = true;
-            break;
-          }
-        }
-      }
-      if (found) {
-        regrouped[target].insert(id);
-        rerouted_any = true;
-      } else {
-        // No surviving replica anywhere: this document's contribution is
-        // unrecoverable and must be reported, not silently omitted.
-        ++stats->missing_partitions;
-        stats->degraded = true;
-      }
-    }
-    if (rerouted_any) ++stats->failovers;
-  }
-  std::vector<PartitionAssignment> next;
-  next.reserve(regrouped.size());
-  for (auto& [node, docs] : regrouped) {
-    next.push_back(PartitionAssignment{
-        node, epochs[node],
-        std::make_shared<const std::set<model::DocId>>(std::move(docs))});
-  }
-  return next;
-}
+// --------------------------------------------------------------- Scatter
 
 void SimulatedCluster::ScatterWithFailover(
-    const std::function<std::function<void()>(
-        NodeId node, std::shared_ptr<const std::set<model::DocId>> docs)>&
-        make_task,
-    ShipStats* stats) {
+    const std::function<NodeWork(NodeId)>& make_task, ShipStats* stats,
+    KeyRanges* unreachable) {
   obs::ScopedSpan scatter_span("cluster.scatter");
-  size_t orphaned = 0;
-  std::shared_ptr<const OwnershipSnapshot> snapshot = OwnershipByNode(&orphaned);
-  if (orphaned > 0) {
-    // Data already unreachable when the query started: a fully-dead
-    // partition produces no failed task, so it must be counted up front.
-    stats->missing_partitions += orphaned;
-    stats->degraded = true;
-  }
-
-  std::vector<PartitionAssignment> round;
-  round.reserve(snapshot->by_node.size());
-  for (const auto& [node_id, owned] : snapshot->by_node) {
-    // Aliasing: shares ownership of the snapshot, points at one node's set.
-    round.push_back(PartitionAssignment{
-        node_id, snapshot->epochs.at(node_id),
-        std::shared_ptr<const std::set<model::DocId>>(snapshot, &owned)});
+  const bool raw_ids = options_.key_range_partitioning;
+  struct Assignment {
+    NodeId node;
+    uint64_t epoch;
+    KeyRanges ranges;
+  };
+  using Round = std::map<NodeId, Assignment>;
+  // Assigns every tablet overlapping [lo, hi], clipped to it, to its first
+  // valid holder; a tablet with none is lost, and so are its documents.
+  // Returns whether any part was assigned. Caller holds ptable_mutex_.
+  auto assign = [&](uint64_t lo, uint64_t hi, Round* by_node) {
+    bool assigned = false;
+    for (auto it = TabletFor(lo); it != ptable_.end() && it->first <= hi;
+         ++it) {
+      const uint64_t from = std::max(lo, it->first);
+      const uint64_t to = std::min(hi, TabletEnd(it));
+      if (const Holder* primary = Primary(it->second)) {
+        auto slot = by_node->try_emplace(primary->node,
+                                         Assignment{primary->node,
+                                                    primary->epoch,
+                                                    KeyRanges(raw_ids)})
+                        .first;
+        slot->second.ranges.Add(from, to);
+        assigned = true;
+      } else {
+        // No surviving replica anywhere: this tablet's contribution is
+        // unrecoverable and must be reported, not silently omitted.
+        stats->missing_partitions += it->second.doc_count;
+        if (it->second.doc_count > 0) stats->degraded = true;
+        if (unreachable != nullptr) unreachable->Add(from, to);
+      }
+    }
+    return assigned;
+  };
+  Round round;
+  {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    assign(0, UINT64_MAX, &round);
   }
 
   for (int attempt = 0; !round.empty() && attempt < kMaxScatterRounds;
        ++attempt) {
     struct Pending {
-      PartitionAssignment assignment;
       std::future<TaskOutcome> outcome;
+      uint64_t micros = 0;
+      bool stale = false;
+      // Assigned ranges the node no longer held when the task ran.
+      std::vector<std::pair<uint64_t, uint64_t>> lost;
     };
-    std::vector<Pending> pending;
-    pending.reserve(round.size());
+    std::deque<Pending> pending;  // stable slots; must outlive the tasks
     const uint64_t round_start = NowMicros();
-    // Stable timing/staleness slots; the deques must outlive the futures.
-    std::deque<uint64_t> task_micros;
-    std::deque<uint8_t> stale_flags;
-    std::deque<std::vector<model::DocId>> strays;
-    for (PartitionAssignment& assignment : round) {
-      std::function<void()> fn = make_task(assignment.node, assignment.docs);
-      task_micros.push_back(0);
-      uint64_t* micros = &task_micros.back();
-      stale_flags.push_back(0);
-      uint8_t* stale = &stale_flags.back();
-      strays.emplace_back();
-      std::vector<model::DocId>* stray = &strays.back();
+    for (const auto& [node_id, assignment] : round) {
+      Pending* slot = &pending.emplace_back();
+      NodeWork work = make_task(assignment.node);
       std::shared_ptr<Partition> partition = PartitionFor(assignment.node);
       Node* node = data_nodes_[assignment.node].get();
-      const uint64_t expected_epoch = assignment.epoch;
-      std::future<TaskOutcome> outcome;
       node->Submit(
           // The trace rides into the node thread by value: per-node execute
           // spans record against the request that issued the scatter.
-          [fn = std::move(fn), micros, stale, stray, node, expected_epoch,
-           partition = std::move(partition), docs = assignment.docs,
+          [this, slot, &assignment, raw_ids, work = std::move(work),
+           partition = std::move(partition), node,
            trace = obs::CurrentTrace()] {
-            // The assignment was made against a specific incarnation of
-            // this node's partition. If the node died and rejoined since,
-            // running the task would scan the wrong (empty) partition and
-            // manufacture a silently-partial result — flag it instead.
-            if (node->epoch() != expected_epoch) {
-              *stale = 1;
+            // The assignment was made against one incarnation of this
+            // node; a partition of another holds none of its tablets, and
+            // scanning it would manufacture a silently-partial result.
+            if (partition->epoch != assignment.epoch) {
+              slot->stale = true;
               return;
             }
-            // Presence check, atomic with the work (both run on this
-            // node's single mailbox thread, which also applies migration
-            // deletes): any assigned document no longer physically here
-            // was migrated away since the ownership snapshot — record it
-            // so the coordinator re-routes it through the live directory
-            // instead of serving a hole.
-            for (model::DocId id : *docs) {
-              if (partition->docs.find(id) == partition->docs.end()) {
-                stray->push_back(id);
+            // Holding check, atomic with the work (both run on this node's
+            // single mailbox thread, which also applies migration deletes —
+            // after the holder swap): a tablet moved away since the
+            // snapshot is handed back for re-routing instead of served as
+            // a hole.
+            KeyRanges served(raw_ids);
+            {
+              std::lock_guard<std::mutex> lock(ptable_mutex_);
+              for (const auto& [lo, hi] : assignment.ranges.ranges()) {
+                bool held = HolderStillValid(assignment.node, assignment.epoch);
+                for (auto it = TabletFor(lo);
+                     held && it != ptable_.end() && it->first <= hi; ++it) {
+                  const std::vector<Holder>& holders = it->second.holders;
+                  held = std::any_of(holders.begin(), holders.end(),
+                                     [&](const Holder& h) {
+                                       return h.node == assignment.node &&
+                                              h.epoch == assignment.epoch;
+                                     });
+                }
+                if (held) {
+                  served.Add(lo, hi);
+                } else {
+                  slot->lost.emplace_back(lo, hi);
+                }
               }
             }
+            if (served.empty()) return;
             const uint64_t start = NowMicros();
-            fn();
-            *micros = NowMicros() - start;
+            work(*partition, served);
+            slot->micros = NowMicros() - start;
             if (trace != nullptr) {
               trace->RecordSpan(
                   "node." + std::to_string(node->id()) + ".execute", start,
-                  *micros);
+                  slot->micros);
             }
           },
-          &outcome);
+          &slot->outcome);
       ++stats->tasks;
-      pending.push_back(Pending{std::move(assignment), std::move(outcome)});
     }
 
-    std::vector<PartitionAssignment> lost;
-    size_t i = 0;
-    for (Pending& p : pending) {
-      // Wait on the outcome BEFORE reading the stale flag: the flag is
-      // written by the task and published by the promise.
-      const TaskOutcome outcome = p.outcome.get();
-      const bool stale = stale_flags[i] != 0;
-      if (outcome != TaskOutcome::kExecuted || stale) {
-        lost.push_back(std::move(p.assignment));
-      } else if (!strays[i].empty()) {
-        // Executed, but some assigned documents had moved out from under
-        // the snapshot: re-route exactly those through the directory.
-        lost.push_back(PartitionAssignment{
-            p.assignment.node, p.assignment.epoch,
-            std::make_shared<const std::set<model::DocId>>(strays[i].begin(),
-                                                           strays[i].end())});
-      }
-      ++i;
-    }
+    std::vector<std::pair<uint64_t, uint64_t>> lost;
     uint64_t slowest = 0;
-    for (uint64_t micros : task_micros) slowest = std::max(slowest, micros);
+    auto p = pending.begin();
+    for (const auto& [node_id, assignment] : round) {
+      // Wait on the outcome BEFORE reading the task's slot: the slot is
+      // written by the task and published by the promise.
+      if (p->outcome.get() != TaskOutcome::kExecuted || p->stale) {
+        const auto& ranges = assignment.ranges.ranges();
+        lost.insert(lost.end(), ranges.begin(), ranges.end());
+      } else {
+        lost.insert(lost.end(), p->lost.begin(), p->lost.end());
+      }
+      slowest = std::max(slowest, p->micros);
+      ++p;
+    }
     stats->critical_path_micros += slowest;
     if (attempt > 0) {
       // Failover rounds are where degraded latency comes from; make each
@@ -497,47 +561,51 @@ void SimulatedCluster::ScatterWithFailover(
     }
 
     if (lost.empty()) break;
-    // Prune dead holders from the directory so re-routing sees survivors.
+    // Prune dead holders so re-routing sees survivors.
     DetectFailures();
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
     if (attempt + 1 == kMaxScatterRounds) {
-      // Out of rounds: report the residual loss instead of dropping it.
-      // Count documents, not assignments, so the number is comparable with
-      // the per-document counts from RerouteLost and orphan detection.
-      for (const PartitionAssignment& assignment : lost) {
-        stats->missing_partitions += assignment.docs->size();
+      // Out of rounds: report the residual loss instead of dropping it,
+      // counted in documents like every other loss.
+      for (const auto& [lo, hi] : lost) {
+        for (auto it = TabletFor(lo); it != ptable_.end() && it->first <= hi;
+             ++it) {
+          stats->missing_partitions += it->second.doc_count;
+          if (it->second.doc_count > 0) stats->degraded = true;
+        }
+        if (unreachable != nullptr) unreachable->Add(lo, hi);
       }
-      stats->degraded = true;
       break;
     }
-    round = RerouteLost(lost, stats);
+    Round next;
+    for (const auto& [lo, hi] : lost) {
+      if (assign(lo, hi, &next)) ++stats->failovers;
+    }
+    round = std::move(next);
   }
 }
+
+// ---------------------------------------------------------------- Query
 
 std::vector<index::InvertedIndex::SearchResult> SimulatedCluster::KeywordSearch(
     const std::string& query, size_t k, ShipStats* stats) {
   ShipStats local_stats;
 
-  // Scatter: each owning data node searches its partition; lost tasks fail
-  // over to replica holders. Output slots live in a deque so every attempt
-  // (including failover re-runs) gets fresh, stable storage.
+  // Scatter: each serving data node ranks the documents of its tablets;
+  // lost tasks fail over to other holders. Output slots live in a deque so
+  // every attempt (including failover re-runs) gets fresh, stable storage.
   std::deque<std::vector<index::InvertedIndex::SearchResult>> partials;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partials.emplace_back();
-        auto* out = &partials.back();
+      [&](NodeId) -> NodeWork {
+        auto* out = &partials.emplace_back();
         local_stats.bytes_shipped += query.size();  // query fan-out
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out, &query, k] {
-              auto hits = partition->inverted.Search(query, k + owned->size());
-              std::vector<index::InvertedIndex::SearchResult> filtered;
-              for (const auto& hit : hits) {
-                if (owned->count(hit.doc)) filtered.push_back(hit);
-                if (filtered.size() >= k) break;
-              }
-              *out = std::move(filtered);
-            });
+        return [out, &query, k](const Partition& partition,
+                                const KeyRanges& served) {
+          *out = partition.inverted.Search(
+              query, k, [&served](model::DocId id) {
+                return served.Contains(id);
+              });
+        };
       },
       &local_stats);
 
@@ -574,43 +642,32 @@ std::vector<index::InvertedIndex::SearchResult> SimulatedCluster::KeywordSearch(
   return merged;
 }
 
-std::shared_ptr<const std::set<model::DocId>> SimulatedCluster::AvailableDocs(
+std::shared_ptr<const Availability> SimulatedCluster::AvailableDocs(
     ShipStats* stats) {
   ShipStats local_stats;
-
-  // Scatter: each owning data node verifies, against its live partition,
-  // which of its assigned documents it can actually serve. Nodes lost
-  // mid-scan fail over like any other scatter; documents the directory
-  // mis-attributed (migrated mid-scan) are re-routed by the scatter's
-  // generic stray-document detection, and anything still unreachable is
-  // counted in the stats rather than silently narrowing the set.
-  std::deque<std::set<model::DocId>> partials;
+  auto available = std::make_shared<Availability>(
+      Availability{KeyRanges(options_.key_range_partitioning)});
+  // The node work is empty: the scatter's holding check on each serving
+  // node's mailbox is the availability probe, and its failover and loss
+  // accounting decide which tablets are unreachable.
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partials.emplace_back();
-        std::set<model::DocId>* out = &partials.back();
-        local_stats.bytes_shipped += 8;  // scan-request fan-out
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out] {
-              for (model::DocId id : *owned) {
-                if (partition->docs.count(id)) out->insert(id);
-              }
-            });
+      [&](NodeId) -> NodeWork {
+        local_stats.bytes_shipped += 8;  // probe fan-out
+        return [](const Partition&, const KeyRanges&) {};
       },
-      &local_stats);
-
-  auto merged = std::make_shared<std::set<model::DocId>>();
-  for (const std::set<model::DocId>& partial : partials) {
-    merged->insert(partial.begin(), partial.end());
+      &local_stats, &available->unreachable);
+  {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (const auto& [bound, state] : ptable_) {
+      if (!available->unreachable.ContainsKey(bound)) {
+        available->servable_docs += state.doc_count;
+      }
+    }
   }
-  local_stats.rows_shipped += merged->size();
-  local_stats.bytes_shipped += merged->size() * 8;  // doc-id list gather
-
+  local_stats.bytes_shipped += available->unreachable.ranges().size() * 16;
   AccountTraffic(local_stats);
   if (stats != nullptr) *stats = local_stats;
-  return merged;
+  return available;
 }
 
 SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
@@ -662,29 +719,24 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
 
   std::deque<Partial> partials;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partials.emplace_back();
-        Partial* partial = &partials.back();
-        return std::function<void()>([partition, owned = std::move(owned),
-                                      partial, pushdown, &matches, &accumulate,
-                                      &query] {
-          for (const auto& [id, doc] : partition->docs) {
-            if (!owned->count(id)) continue;
+      [&](NodeId) -> NodeWork {
+        Partial* partial = &partials.emplace_back();
+        return [partial, pushdown, &matches, &accumulate, &query](
+                   const Partition& partition, const KeyRanges& served) {
+          for (const auto& [id, stored] : partition.docs) {
+            if (!served.Contains(id)) continue;
+            model::Document doc = Partition::Decode(stored);
             if (pushdown) {
               // Predicate and partial aggregation at the storage node.
               if (matches(doc)) accumulate(doc, partial);
-            } else {
+            } else if (query.kind.empty() || doc.kind == query.kind) {
               // Ship every document of the kind (the raw scan): the grid
               // node does all filtering and aggregation.
-              if (query.kind.empty() || doc.kind == query.kind) {
-                partial->raw_docs.push_back(doc);
-                partial->raw_bytes += DocBytes(doc);
-              }
+              partial->raw_bytes += stored.bytes.size();
+              partial->raw_docs.push_back(std::move(doc));
             }
           }
-        });
+        };
       },
       &result.stats);
 
@@ -740,27 +792,25 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
                                            ShipStats* stats) {
   ShipStats local_stats;
 
-  // Phase 1 (data nodes): intra-document analysis over owned documents.
+  // Phase 1 (data nodes): intra-document analysis over served documents.
   std::deque<std::vector<model::Document>> produced;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        produced.emplace_back();
-        std::vector<model::Document>* out = &produced.back();
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out, &annotator, &kind] {
-              for (const auto& [id, doc] : partition->docs) {
-                if (!owned->count(id)) continue;
-                if (!kind.empty() && doc.kind != kind) continue;
-                if (doc.doc_class != model::DocClass::kBase) continue;
-                if (!annotator.InterestedIn(doc)) continue;
-                auto spans = annotator.Annotate(doc);
-                if (spans.empty()) continue;
-                out->push_back(discovery::MakeAnnotationDocument(
-                    doc, annotator.name(), spans));
-              }
-            });
+      [&](NodeId) -> NodeWork {
+        std::vector<model::Document>* out = &produced.emplace_back();
+        return [out, &annotator, &kind](const Partition& partition,
+                                        const KeyRanges& served) {
+          for (const auto& [id, stored] : partition.docs) {
+            if (!served.Contains(id)) continue;
+            const model::Document doc = Partition::Decode(stored);
+            if (!kind.empty() && doc.kind != kind) continue;
+            if (doc.doc_class != model::DocClass::kBase) continue;
+            if (!annotator.InterestedIn(doc)) continue;
+            auto spans = annotator.Annotate(doc);
+            if (spans.empty()) continue;
+            out->push_back(discovery::MakeAnnotationDocument(
+                doc, annotator.name(), spans));
+          }
+        };
       },
       &local_stats);
 
@@ -770,14 +820,10 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
   const bool coordinated = RunOnPool(cluster_nodes_, &rr_cluster_, [&] {
     for (std::vector<model::Document>& batch : produced) {
       for (model::Document& annotation : batch) {
-        local_stats.bytes_shipped += DocBytes(annotation);
-        ++local_stats.rows_shipped;
         // Consistent persist: lock every referenced base document.
-        for (const model::DocRef& ref : annotation.refs) {
-          (void)ref;
-          lock_acquisitions_.fetch_add(1);
-        }
+        lock_acquisitions_.fetch_add(annotation.refs.size());
         annotation.id = next_id_.fetch_add(1);
+        ++local_stats.rows_shipped;
         to_store.push_back(std::move(annotation));
       }
     }
@@ -789,13 +835,11 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
   }
 
   // Route the committed annotation documents onto data nodes through the
-  // same placement path as Ingest — they respect liveness and the dynamic
-  // partition table like any other document, and only holders that
-  // acknowledged the store are recorded.
+  // same write path as Ingest — the holders of their tablets.
   size_t created = 0;
   for (const model::Document& annotation : to_store) {
     BumpPartitionTraffic(annotation.id);
-    if (StoreReplicated(annotation, options_.replication, &local_stats)) {
+    if (StoreReplicated(annotation, &local_stats)) {
       ++created;
     } else {
       // The annotation was committed by the coordinator but no data node
@@ -808,7 +852,6 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
   if (stats != nullptr) *stats = local_stats;
   return created;
 }
-
 
 SimulatedCluster::AutoAggResult SimulatedCluster::FilterAggregateAuto(
     const AggQuery& query) {
@@ -848,49 +891,49 @@ SimulatedCluster::PipelineResult SimulatedCluster::SearchJoinUpdate(
   };
   std::deque<std::vector<Hit>> partial_hits;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partial_hits.emplace_back();
-        std::vector<Hit>* out = &partial_hits.back();
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out, &query] {
-              auto hits = partition->inverted.Search(
-                  query.keywords, query.k + owned->size());
-              for (const auto& hit : hits) {
-                if (!owned->count(hit.doc)) continue;
-                auto doc_it = partition->docs.find(hit.doc);
-                if (doc_it == partition->docs.end()) continue;
-                const model::Value* ref = model::ResolvePath(
-                    doc_it->second.root, query.left_ref_path);
-                if (ref == nullptr || ref->is_null()) continue;
-                out->push_back(Hit{hit.doc, hit.score, ref->AsString()});
-                if (out->size() >= query.k) break;
-              }
-            });
+      [&](NodeId) -> NodeWork {
+        std::vector<Hit>* out = &partial_hits.emplace_back();
+        return [out, &query](const Partition& partition,
+                             const KeyRanges& served) {
+          // The top-k runs over served documents that carry a reference;
+          // the predicate keeps each accepted document's value.
+          std::map<model::DocId, std::string> refs;
+          auto hits = partition.inverted.Search(
+              query.keywords, query.k, [&](model::DocId id) {
+                if (!served.Contains(id)) return false;
+                auto doc_it = partition.docs.find(id);
+                if (doc_it == partition.docs.end()) return false;
+                const model::Document doc = Partition::Decode(doc_it->second);
+                const model::Value* ref =
+                    model::ResolvePath(doc.root, query.left_ref_path);
+                if (ref == nullptr || ref->is_null()) return false;
+                refs[id] = ref->AsString();
+                return true;
+              });
+          for (const auto& hit : hits) {
+            out->push_back(Hit{hit.doc, hit.score, refs[hit.doc]});
+          }
+        };
       },
       &result.stats);
 
   // Dimension side, also reduced at the data nodes: (key value, doc id).
   std::deque<std::vector<std::pair<std::string, model::DocId>>> partial_dims;
   ScatterWithFailover(
-      [&](NodeId node_id,
-          std::shared_ptr<const std::set<model::DocId>> owned) {
-        std::shared_ptr<Partition> partition = PartitionFor(node_id);
-        partial_dims.emplace_back();
-        auto* out = &partial_dims.back();
-        return std::function<void()>(
-            [partition, owned = std::move(owned), out, &query] {
-              for (const auto& [id, doc] : partition->docs) {
-                if (!owned->count(id) || doc.kind != query.dim_kind) {
-                  continue;
-                }
-                const model::Value* key =
-                    model::ResolvePath(doc.root, query.dim_key_path);
-                if (key == nullptr || key->is_null()) continue;
-                out->emplace_back(key->AsString(), id);
-              }
-            });
+      [&](NodeId) -> NodeWork {
+        auto* out = &partial_dims.emplace_back();
+        return [out, &query](const Partition& partition,
+                             const KeyRanges& served) {
+          for (const auto& [id, stored] : partition.docs) {
+            if (!served.Contains(id)) continue;
+            const model::Document doc = Partition::Decode(stored);
+            if (doc.kind != query.dim_kind) continue;
+            const model::Value* key =
+                model::ResolvePath(doc.root, query.dim_key_path);
+            if (key == nullptr || key->is_null()) continue;
+            out->emplace_back(key->AsString(), id);
+          }
+        };
       },
       &result.stats);
 
@@ -947,41 +990,24 @@ SimulatedCluster::PipelineResult SimulatedCluster::SearchJoinUpdate(
     result.stats.degraded = true;
     ++result.stats.missing_partitions;
   }
+  // Each update is a read-modify-write through the ordinary write path, so
+  // it reaches every holder and joining node of the tablet.
   for (model::DocId id : to_update) {
-    std::vector<Holder> holders;
-    {
-      std::lock_guard<std::mutex> lock(directory_mutex_);
-      auto it = directory_.find(id);
-      if (it == directory_.end()) continue;
-      holders = it->second.holders;
+    Result<model::Document> doc = Get(id);
+    if (!doc.ok()) continue;
+    doc->version += 1;
+    doc->root.AddChild(query.tag_name, model::Value::Bool(true));
+    ShipStats write_stats;
+    if (StoreReplicated(*doc, &write_stats)) {
+      ++result.updates_applied;
     }
-    bool updated = false;
-    for (const Holder& holder : holders) {
-      if (!HolderStillValid(holder.node, holder.epoch)) continue;
-      const NodeId node_id = holder.node;
-      std::shared_ptr<Partition> partition = PartitionFor(node_id);
-      const std::string& tag = query.tag_name;
-      bool applied = false;
-      const TaskOutcome outcome =
-          data_nodes_[node_id]->Run([partition, id, &tag, &applied] {
-            auto it = partition->docs.find(id);
-            if (it == partition->docs.end()) return;
-            model::Document updated_doc = it->second;
-            updated_doc.version += 1;
-            updated_doc.root.AddChild(tag, model::Value::Bool(true));
-            partition->inverted.RemoveDocument(id);
-            partition->inverted.AddDocument(id, updated_doc.Text());
-            it->second = std::move(updated_doc);
-            applied = true;
-          });
-      if (outcome == TaskOutcome::kExecuted && applied) updated = true;
-      result.stats.bytes_shipped += query.tag_name.size() + 16;
-    }
-    if (updated) ++result.updates_applied;
+    result.stats.bytes_shipped += write_stats.bytes_shipped;
   }
   AccountTraffic(result.stats);
   return result;
 }
+
+// ----------------------------------------------------------- Membership
 
 void SimulatedCluster::FailNode(NodeId id) {
   IMPLIANCE_CHECK(id < data_nodes_.size()) << "only data nodes can be failed";
@@ -999,164 +1025,174 @@ void SimulatedCluster::RecoverNode(NodeId id) {
     partitions_[id] = std::make_shared<Partition>(data_nodes_[id]->epoch());
   }
   data_nodes_[id]->Recover();
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    known_dead_.erase(id);
-    InvalidateOwnershipLocked();
-  }
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  known_dead_.erase(id);
 }
 
 std::vector<NodeId> SimulatedCluster::DetectFailures() {
   std::vector<NodeId> newly_dead;
-  std::lock_guard<std::mutex> lock(directory_mutex_);
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
   for (const auto& node : data_nodes_) {
     if (!node->alive() && !known_dead_.count(node->id())) {
       newly_dead.push_back(node->id());
       known_dead_.insert(node->id());
     }
   }
-  // Drop dead and stale holders from the directory so ownership fails
-  // over. Stale = the node came back in a newer incarnation (rejoined
-  // empty), so its old copies are gone even though it is alive.
-  bool pruned = false;
-  for (auto& [id, entry] : directory_) {
-    const size_t before = entry.holders.size();
-    entry.holders.erase(
-        std::remove_if(entry.holders.begin(), entry.holders.end(),
-                       [this](const Holder& holder) {
-                         return !HolderStillValid(holder.node, holder.epoch);
-                       }),
-        entry.holders.end());
-    pruned |= entry.holders.size() != before;
-  }
-  if (pruned || !newly_dead.empty()) InvalidateOwnershipLocked();
+  // Drop dead and stale holders so tablets fail over. Stale = the node came
+  // back in a newer incarnation (rejoined empty), so its old copies are
+  // gone even though it is alive.
+  for (auto& [bound, state] : ptable_) PruneHolders(&state);
   return newly_dead;
 }
 
-SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
-  // No migration may run between a repair copy and its commit: the move's
-  // source delete could erase the copy (see move_mutex_).
-  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
-  ReReplicateReport report;
-  // Snapshot the under-replicated ids; everything else about this pass is
-  // decided against the live directory. The pre-pass holder/copy-count
-  // snapshot used to drive the whole loop, which had two failure modes: a
-  // source holder dying mid-pass left the doc under-replicated while the
-  // stale `alive_copies` claimed completion, and a concurrent pass pushing
-  // the same node into `holders` between our snapshot and our push
-  // recorded one node twice for one document.
-  std::vector<model::DocId> todo;
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    for (const auto& [id, entry] : directory_) {
-      size_t valid = 0;
-      for (const Holder& holder : entry.holders) {
-        if (HolderStillValid(holder.node, holder.epoch)) ++valid;
-      }
-      if (valid > 0 && valid < entry.desired) todo.push_back(id);
+bool SimulatedCluster::CopyRange(const Holder& from, NodeId to, uint64_t lo,
+                                 uint64_t hi, uint64_t* epoch_to,
+                                 uint64_t* bytes,
+                                 std::vector<model::DocId>* ids) {
+  const bool raw_ids = options_.key_range_partitioning;
+  std::shared_ptr<Partition> source = PartitionFor(from.node);
+  std::vector<std::pair<model::DocId, Partition::Stored>> batch;
+  const TaskOutcome read = data_nodes_[from.node]->Run([&] {
+    for (const auto& [id, stored] : source->docs) {
+      const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
+      if (key >= lo && key <= hi) batch.emplace_back(id, stored);
     }
+  });
+  // Only the incarnation that holds the tablet has its documents.
+  if (read != TaskOutcome::kExecuted || source->epoch != from.epoch) {
+    return false;
   }
-  for (model::DocId id : todo) {
-    Result<model::Document> doc = Get(id);
-    if (!doc.ok()) {
-      ++report.docs_unrestored;
-      continue;
-    }
-    // Candidate targets: the partition table's preferred replicas first,
-    // then the rest of the ring (PlaceReplicas with the full node count).
-    const std::vector<NodeId> candidates =
-        PlaceReplicas(id, data_nodes_.size());
-    for (NodeId candidate : candidates) {
-      {
-        // Early-stop re-validated against the LIVE directory: a source
-        // holder that died since the snapshot no longer counts.
-        std::lock_guard<std::mutex> lock(directory_mutex_);
-        auto it = directory_.find(id);
-        if (it == directory_.end()) break;
-        size_t valid = 0;
-        bool candidate_holds = false;
-        for (const Holder& holder : it->second.holders) {
-          if (!HolderStillValid(holder.node, holder.epoch)) continue;
-          ++valid;
-          if (holder.node == candidate) candidate_holds = true;
-        }
-        if (valid >= it->second.desired) break;
-        if (candidate_holds) continue;
-      }
-      if (!data_nodes_[candidate]->alive()) continue;
-      // A copy counts only once the target acknowledged it — and only if
-      // the target has not died (losing the copy) since the store ran.
-      uint64_t epoch = 0;
-      if (StoreOnNode(candidate, *doc, &epoch) != TaskOutcome::kExecuted) {
+  *bytes = 0;
+  if (ids != nullptr) ids->clear();
+  for (const auto& [id, stored] : batch) {
+    *bytes += stored.bytes.size();
+    if (ids != nullptr) ids->push_back(id);
+  }
+  std::shared_ptr<Partition> target = PartitionFor(to);
+  const TaskOutcome write = data_nodes_[to]->Run([&] {
+    for (auto& [id, stored] : batch) {
+      // A joining node may already have a newer version, written to it
+      // after the source was read.
+      auto it = target->docs.find(id);
+      if (it != target->docs.end() && it->second.version >= stored.version) {
         continue;
       }
-      report.bytes_copied += DocBytes(*doc);
-      {
-        std::lock_guard<std::mutex> lock(directory_mutex_);
-        if (!HolderStillValid(candidate, epoch)) continue;
-        auto it = directory_.find(id);
-        if (it == directory_.end()) break;
-        // Dedup by node UNDER the directory mutex: a concurrent pass (or a
-        // stale entry from the candidate's previous incarnation) may
-        // already list this node — refresh it in place, never push a
-        // second entry for the same node.
-        bool present = false;
-        for (Holder& holder : it->second.holders) {
-          if (holder.node == candidate) {
-            holder.epoch = epoch;
-            present = true;
-            break;
-          }
-        }
-        if (!present) it->second.holders.push_back(Holder{candidate, epoch});
-        InvalidateOwnershipLocked();
-      }
+      const std::string text = Partition::Decode(stored).Text();
+      target->Put(id, std::move(stored), text);
     }
-    // Final verdict from the live directory, not the pass's bookkeeping.
+  });
+  *epoch_to = target->epoch;
+  return write == TaskOutcome::kExecuted;
+}
+
+uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool* restored) {
+  uint64_t copied = 0;
+  std::set<NodeId> tried;
+  for (;;) {
+    Holder source{};
+    Holder joiner{};
+    uint64_t lo = 0;
+    uint64_t hi = 0;
     {
-      std::lock_guard<std::mutex> lock(directory_mutex_);
-      auto it = directory_.find(id);
-      size_t valid = 0;
-      size_t desired = 0;
-      if (it != directory_.end()) {
-        desired = it->second.desired;
-        for (const Holder& holder : it->second.holders) {
-          if (HolderStillValid(holder.node, holder.epoch)) ++valid;
+      std::lock_guard<std::mutex> lock(ptable_mutex_);
+      auto it = FindTablet(pid);
+      *restored = false;
+      if (it == ptable_.end()) return copied;
+      PartitionState& state = it->second;
+      PruneHolders(&state);
+      *restored = state.holders.size() >= state.copies;
+      if (*restored) return copied;
+      bool found = false;
+      for (NodeId node : SpareNodes(state)) {
+        if (tried.insert(node).second) {
+          joiner = Holder{node, data_nodes_[node]->epoch()};
+          found = true;
+          break;
         }
       }
-      if (valid < desired) ++report.docs_unrestored;
+      if (!found) return copied;
+      if (state.holders.empty()) {
+        // A tablet with documents but no valid holder is lost: nothing to
+        // copy from. An empty one takes new holders as they are.
+        if (state.doc_count > 0) return copied;
+        state.holders.push_back(joiner);
+        continue;
+      }
+      // Joining before the source is read: every write from now on reaches
+      // the joiner, so the copy plus those writes is the whole tablet.
+      state.joining.push_back(joiner);
+      source = state.holders.front();
+      lo = it->first;
+      hi = TabletEnd(it);
+    }
+    uint64_t epoch_to = 0;
+    uint64_t bytes = 0;
+    const bool done =
+        CopyRange(source, joiner.node, lo, hi, &epoch_to, &bytes, nullptr);
+    if (done) copied += bytes;
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    PartitionState& state = FindTablet(pid)->second;
+    auto it = std::find_if(state.joining.begin(), state.joining.end(),
+                           [&](const Holder& holder) {
+                             return holder.node == joiner.node;
+                           });
+    // Promoted only if it is still joining (a write it missed drops it),
+    // took the copy, and has not died (losing it) since.
+    if (it == state.joining.end()) continue;
+    state.joining.erase(it);
+    if (done && epoch_to == joiner.epoch &&
+        HolderStillValid(joiner.node, joiner.epoch)) {
+      state.holders.push_back(joiner);
     }
   }
+}
+
+SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
+  ReReplicateReport report;
+  // Held across the whole pass: no split retires a tablet id between
+  // listing the short tablets and repairing them.
+  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
+  std::lock_guard<std::mutex> repair_lock(repair_mutex_);
+  // Tablets short of their copy count that a pass can help: a lost one
+  // (documents, no valid holder) has nothing to copy from.
+  std::vector<PartitionId> short_tablets;
   {
-    std::lock_guard<std::mutex> lock(traffic_mutex_);
-    lifetime_traffic_.bytes_shipped += report.bytes_copied;
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (const auto& [bound, state] : ptable_) {
+      const size_t valid = ValidHolders(state);
+      if (valid < state.copies && (valid > 0 || state.doc_count == 0)) {
+        short_tablets.push_back(state.pid);
+      }
+    }
   }
+  for (PartitionId pid : short_tablets) {
+    bool restored = false;
+    report.bytes_copied += AddReplicasLocked(pid, &restored);
+    if (!restored) {
+      std::lock_guard<std::mutex> lock(ptable_mutex_);
+      auto it = FindTablet(pid);
+      if (it != ptable_.end()) report.docs_unrestored += it->second.doc_count;
+    }
+  }
+  std::lock_guard<std::mutex> lock(traffic_mutex_);
+  lifetime_traffic_.bytes_shipped += report.bytes_copied;
   return report;
 }
 
 size_t SimulatedCluster::num_available_documents() const {
-  std::lock_guard<std::mutex> lock(directory_mutex_);
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
   size_t available = 0;
-  for (const auto& [id, entry] : directory_) {
-    for (const Holder& holder : entry.holders) {
-      if (HolderStillValid(holder.node, holder.epoch)) {
-        ++available;
-        break;
-      }
-    }
+  for (const auto& [bound, state] : ptable_) {
+    if (Primary(state) != nullptr) available += state.doc_count;
   }
   return available;
 }
 
 size_t SimulatedCluster::num_fully_replicated_documents() const {
-  std::lock_guard<std::mutex> lock(directory_mutex_);
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
   size_t full = 0;
-  for (const auto& [id, entry] : directory_) {
-    size_t valid = 0;
-    for (const Holder& holder : entry.holders) {
-      if (HolderStillValid(holder.node, holder.epoch)) ++valid;
-    }
-    if (valid >= entry.desired) ++full;
+  for (const auto& [bound, state] : ptable_) {
+    if (ValidHolders(state) >= state.copies) full += state.doc_count;
   }
   return full;
 }
@@ -1175,7 +1211,9 @@ std::vector<SimulatedCluster::PartitionDesc> SimulatedCluster::PartitionTable()
     desc.lo = it->first;
     desc.hi = next == ptable_.end() ? UINT64_MAX : next->first;
     desc.epoch = it->second.epoch;
-    desc.replicas = it->second.replicas;
+    for (const Holder& holder : it->second.holders) {
+      desc.replicas.push_back(holder.node);
+    }
     desc.doc_count = it->second.doc_count;
     desc.traffic = it->second.traffic;
     table.push_back(std::move(desc));
@@ -1184,41 +1222,38 @@ std::vector<SimulatedCluster::PartitionDesc> SimulatedCluster::PartitionTable()
 }
 
 bool SimulatedCluster::SplitPartition(PartitionId pid) {
-  // Phase 1: snapshot the tablet's range. Not nested inside the directory
-  // scan — lock order is ptable before directory, and holding both across
-  // the scan would serialize ingest against splits for no benefit.
+  // Exclusive: the tablet's documents and count hold still while one
+  // holder reports their keys.
+  std::unique_lock<std::shared_mutex> move_lock(move_mutex_);
+  Holder probe{};
   uint64_t lo = 0;
-  uint64_t hi_excl = 0;
-  bool is_last = false;
-  uint64_t epoch = 0;
-  bool found = false;
+  uint64_t hi = 0;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
-    for (auto it = ptable_.begin(); it != ptable_.end(); ++it) {
-      if (it->second.pid != pid) continue;
-      auto next = std::next(it);
-      lo = it->first;
-      is_last = next == ptable_.end();
-      hi_excl = is_last ? 0 : next->first;
-      epoch = it->second.epoch;
-      found = true;
-      break;
-    }
+    auto it = FindTablet(pid);
+    if (it == ptable_.end() || it->second.doc_count < 2) return false;
+    const Holder* primary = Primary(it->second);
+    if (primary == nullptr) return false;
+    probe = *primary;
+    lo = it->first;
+    hi = TabletEnd(it);
   }
-  if (!found) return false;
-  // Phase 2: collect the routed keys currently in the range. The split
-  // point is the MEDIAN key, not the range midpoint — under sequential-key
-  // skew every document sits in a sliver of the range and midpoint splits
-  // would never separate them.
+  // The split point is the MEDIAN routed key, not the range midpoint —
+  // under sequential-key skew every document sits in a sliver of the range
+  // and midpoint splits would never separate them.
+  const bool raw_ids = options_.key_range_partitioning;
+  std::shared_ptr<Partition> partition = PartitionFor(probe.node);
   std::vector<uint64_t> keys;
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    for (const auto& [id, entry] : directory_) {
-      const uint64_t key = RouteKey(id);
-      if (key >= lo && (is_last || key < hi_excl)) keys.push_back(key);
+  const TaskOutcome outcome = data_nodes_[probe.node]->Run([&] {
+    for (const auto& [id, stored] : partition->docs) {
+      const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
+      if (key >= lo && key <= hi) keys.push_back(key);
     }
+  });
+  if (outcome != TaskOutcome::kExecuted || partition->epoch != probe.epoch ||
+      keys.size() < 2) {
+    return false;
   }
-  if (keys.size() < 2) return false;
   std::nth_element(keys.begin(), keys.begin() + keys.size() / 2, keys.end());
   uint64_t split = keys[keys.size() / 2];
   if (split <= lo) {
@@ -1235,59 +1270,58 @@ bool SimulatedCluster::SplitPartition(PartitionId pid) {
     if (!have) return false;
     split = best;
   }
-  size_t left_count = 0;
-  for (uint64_t key : keys) {
-    if (key < split) ++left_count;
-  }
-  // Phase 3: commit, re-validating that the tablet survived unchanged
-  // (same pid and epoch at the same bound) while the locks were down.
-  {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    auto it = ptable_.find(lo);
-    if (it == ptable_.end() || it->second.pid != pid ||
-        it->second.epoch != epoch) {
-      return false;
-    }
-    if (ptable_.count(split)) return false;
-    // Both children inherit the parent's replica targets (metadata-only
-    // split; the balancer migrates a child later if load warrants) and
-    // fresh ids — the parent id is retired so any concurrently-taken
-    // balancer decision against the old tablet aborts.
-    PartitionState right;
-    right.pid = next_pid_++;
-    right.replicas = it->second.replicas;
-    right.doc_count = keys.size() - left_count;
-    right.traffic = it->second.traffic / 2;
-    it->second.pid = next_pid_++;
-    it->second.epoch += 1;
-    it->second.doc_count = left_count;
-    it->second.traffic -= right.traffic;
-    ptable_.emplace(split, std::move(right));
-  }
+  const size_t left_count =
+      std::count_if(keys.begin(), keys.end(),
+                    [split](uint64_t key) { return key < split; });
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  auto it = ptable_.find(lo);
+  // Both children keep the parent's holders (metadata-only split; the
+  // balancer migrates a child later if load warrants) and get fresh ids —
+  // the parent id is retired so any concurrently-taken balancer decision
+  // against the old tablet aborts.
+  PartitionState right = it->second;
+  right.pid = next_pid_++;
+  right.doc_count = keys.size() - left_count;
+  right.traffic = it->second.traffic / 2;
+  it->second.pid = next_pid_++;
+  it->second.epoch += 1;
+  it->second.doc_count = left_count;
+  it->second.traffic -= right.traffic;
+  ptable_.emplace(split, std::move(right));
   Metrics().splits->Increment();
   return true;
 }
 
 bool SimulatedCluster::MergeWithRightNeighbor(PartitionId pid) {
-  {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    for (auto it = ptable_.begin(); it != ptable_.end(); ++it) {
-      if (it->second.pid != pid) continue;
-      auto right = std::next(it);
-      if (right == ptable_.end()) return false;
-      // Metadata-only: the survivor keeps the left tablet's id and replica
-      // targets. Existing documents stay where the directory says they
-      // are; new ingest routes to the survivor's targets and migration
-      // converges the rest.
-      it->second.doc_count += right->second.doc_count;
-      it->second.traffic += right->second.traffic;
-      it->second.epoch += 1;
-      ptable_.erase(right);
-      Metrics().merges->Increment();
-      return true;
-    }
+  std::unique_lock<std::shared_mutex> move_lock(move_mutex_);
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  auto it = FindTablet(pid);
+  if (it == ptable_.end()) return false;
+  auto right = std::next(it);
+  if (right == ptable_.end()) return false;
+  PartitionState& left = it->second;
+  PartitionState& absorbed = right->second;
+  PruneHolders(&left);
+  PruneHolders(&absorbed);
+  // Metadata-only: the survivor's holders must hold both halves. That is
+  // true of an empty half's holders for free, and of equal holder sets.
+  auto nodes = [](const PartitionState& state) {
+    std::set<NodeId> out;
+    for (const Holder& holder : state.holders) out.insert(holder.node);
+    return out;
+  };
+  if (left.doc_count == 0) {
+    left.holders = absorbed.holders;
+  } else if (absorbed.doc_count > 0 && nodes(left) != nodes(absorbed)) {
+    return false;
   }
-  return false;
+  left.copies = std::max(left.copies, absorbed.copies);
+  left.doc_count += absorbed.doc_count;
+  left.traffic += absorbed.traffic;
+  left.epoch += 1;
+  ptable_.erase(right);
+  Metrics().merges->Increment();
+  return true;
 }
 
 size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
@@ -1296,163 +1330,71 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     return 0;
   }
   if (!data_nodes_[to]->alive()) return 0;
-  // One migration at a time, and no repair pass or replicated store in
-  // flight (see move_mutex_).
+  // One migration at a time, and no write or repair in flight (see
+  // move_mutex_).
   std::unique_lock<std::shared_mutex> move_lock(move_mutex_);
+  Holder source{};
   uint64_t lo = 0;
-  uint64_t hi_excl = 0;
-  bool is_last = false;
-  bool found = false;
+  uint64_t hi = 0;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
-    for (auto it = ptable_.begin(); it != ptable_.end(); ++it) {
-      if (it->second.pid != pid) continue;
-      auto next = std::next(it);
-      lo = it->first;
-      is_last = next == ptable_.end();
-      hi_excl = is_last ? 0 : next->first;
-      found = true;
-      break;
+    auto it = FindTablet(pid);
+    if (it == ptable_.end()) return 0;
+    PartitionState& state = it->second;
+    PruneHolders(&state);
+    auto listed = [&state](NodeId node) {
+      return std::find_if(state.holders.begin(), state.holders.end(),
+                          [node](const Holder& holder) {
+                            return holder.node == node;
+                          });
+    };
+    if (listed(from) == state.holders.end() ||
+        listed(to) != state.holders.end()) {
+      return 0;
     }
+    source = *listed(from);
+    lo = it->first;
+    hi = TabletEnd(it);
   }
-  if (!found) return 0;
-  // Documents in the range with a live copy on `from` and none on `to`
-  // (moving a doc the target already replicates would either drop a
-  // distinct copy or plant a duplicate-holder entry).
-  std::vector<model::DocId> ids;
-  {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    for (const auto& [id, entry] : directory_) {
-      const uint64_t key = RouteKey(id);
-      if (key < lo || (!is_last && key >= hi_excl)) continue;
-      bool on_from = false;
-      bool on_to = false;
-      for (const Holder& holder : entry.holders) {
-        if (!HolderStillValid(holder.node, holder.epoch)) continue;
-        if (holder.node == from) on_from = true;
-        if (holder.node == to) on_to = true;
-      }
-      if (on_from && !on_to) ids.push_back(id);
-    }
-  }
-  struct Moved {
-    model::DocId id;
-    uint64_t version;  // version we copied; deletion is checked against it
-  };
-  std::vector<Moved> moved;
+  uint64_t epoch_to = 0;
   uint64_t bytes = 0;
-  for (model::DocId id : ids) {
-    Result<model::Document> doc = Get(id);
-    if (!doc.ok()) continue;
-    uint64_t epoch_to = 0;
-    if (StoreOnNode(to, *doc, &epoch_to) != TaskOutcome::kExecuted) continue;
-    bool committed = false;
-    {
-      // Directory swap under the mutex with PR 3's epoch validity checks:
-      // a target that died between copy and commit is not recorded, and a
-      // holder entry for `to` that appeared concurrently (ReReplicate)
-      // means the swap would mint a duplicate — skip the doc instead.
-      std::lock_guard<std::mutex> lock(directory_mutex_);
-      if (HolderStillValid(to, epoch_to)) {
-        auto it = directory_.find(id);
-        if (it != directory_.end()) {
-          bool to_already_listed = false;
-          for (const Holder& holder : it->second.holders) {
-            if (holder.node == to &&
-                HolderStillValid(holder.node, holder.epoch)) {
-              to_already_listed = true;
-              break;
-            }
-          }
-          if (!to_already_listed) {
-            for (Holder& holder : it->second.holders) {
-              if (holder.node == from) {
-                // Swap in place: the new home inherits the slot (and with
-                // it primary-ness) of the old one.
-                holder.node = to;
-                holder.epoch = epoch_to;
-                committed = true;
-                break;
-              }
-            }
-          }
-        }
-        if (committed) InvalidateOwnershipLocked();
-      }
-    }
-    // Uncommitted copies are harmless: the directory never references
-    // them, so no query routes there, and the source keeps serving.
-    if (!committed) continue;
-    moved.push_back(Moved{id, doc->version});
-    bytes += DocBytes(*doc);
-  }
-  if (!moved.empty()) {
-    // Delete the source bytes on the source node's own mailbox thread —
-    // serialized with every scatter task against that node, so an
-    // in-flight query either ran before (bytes still there) or after (the
-    // stray-document check re-routes through the directory, which already
-    // points at the new home). Version-checked: a concurrent update that
-    // landed on the source after our copy is carried to the new home
-    // below, never silently lost.
-    std::shared_ptr<Partition> partition = PartitionFor(from);
-    auto dirty = std::make_shared<std::vector<model::Document>>();
-    const std::vector<Moved> batch = moved;
-    data_nodes_[from]->Run([partition, batch, dirty] {
-      for (const Moved& m : batch) {
-        auto it = partition->docs.find(m.id);
-        if (it == partition->docs.end()) continue;
-        if (it->second.version != m.version) dirty->push_back(it->second);
-        partition->inverted.RemoveDocument(m.id);
-        partition->docs.erase(it);
-      }
-    });
-    for (const model::Document& newer : *dirty) {
-      uint64_t epoch_to = 0;
-      if (StoreOnNode(to, newer, &epoch_to) != TaskOutcome::kExecuted) {
-        continue;
-      }
-      bytes += DocBytes(newer);
-      std::lock_guard<std::mutex> lock(directory_mutex_);
-      auto it = directory_.find(newer.id);
-      if (it == directory_.end()) continue;
-      for (Holder& holder : it->second.holders) {
-        if (holder.node == to) {
-          holder.epoch = epoch_to;
-          break;
-        }
-      }
-      InvalidateOwnershipLocked();
-    }
-  }
-  // Re-point the tablet's preferred targets so future ingest routes to
-  // the new home, and bump the partition epoch.
+  std::vector<model::DocId> ids;
+  if (!CopyRange(source, to, lo, hi, &epoch_to, &bytes, &ids)) return 0;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
-    for (auto& [bound, state] : ptable_) {
-      if (state.pid != pid) continue;
-      const bool has_to = std::find(state.replicas.begin(),
-                                    state.replicas.end(),
-                                    to) != state.replicas.end();
-      auto from_it =
-          std::find(state.replicas.begin(), state.replicas.end(), from);
-      if (from_it != state.replicas.end()) {
-        if (has_to) {
-          state.replicas.erase(from_it);
-        } else {
-          *from_it = to;
-        }
-      }
-      state.epoch += 1;
-      break;
+    // A target that died between copy and commit is not recorded; its
+    // copy went with it, and the source keeps serving.
+    if (!HolderStillValid(to, epoch_to)) return 0;
+    PartitionState& state = FindTablet(pid)->second;
+    // The new home takes the old one's slot, and with it primary-ness. The
+    // source entry is gone only if it died during the copy.
+    auto slot = std::find_if(
+        state.holders.begin(), state.holders.end(),
+        [from](const Holder& holder) { return holder.node == from; });
+    if (slot != state.holders.end()) {
+      *slot = Holder{to, epoch_to};
+    } else {
+      state.holders.push_back(Holder{to, epoch_to});
     }
+    state.epoch += 1;
   }
-  if (!moved.empty()) {
+  // Delete the source copy on the source node's own mailbox thread, after
+  // the swap: an in-flight scatter task there either ran before the swap
+  // (bytes still there) or finds that the node no longer holds the tablet
+  // and hands it back for re-routing to the new home.
+  std::shared_ptr<Partition> partition = PartitionFor(from);
+  if (partition->epoch == source.epoch) {
+    data_nodes_[from]->Run([&] {
+      for (model::DocId id : ids) partition->Erase(id);
+    });
+  }
+  if (!ids.empty()) {
     Metrics().moves->Increment();
-    Metrics().docs_moved->Increment(moved.size());
+    Metrics().docs_moved->Increment(ids.size());
     std::lock_guard<std::mutex> lock(traffic_mutex_);
     lifetime_traffic_.bytes_shipped += bytes;
   }
-  return moved.size();
+  return ids.size();
 }
 
 SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
@@ -1489,12 +1431,6 @@ SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
   // fit tablet choice here (the swap_defragmentator idea — prefer the
   // largest migration that does not overshoot the hot node's excess).
   for (size_t step = 0; step < options_.max_moves_per_pass; ++step) {
-    std::shared_ptr<const OwnershipSnapshot> snapshot = OwnershipByNode();
-    const std::vector<PartitionDesc> table = PartitionTable();
-    if (table.empty()) break;
-    std::vector<uint64_t> bounds;
-    bounds.reserve(table.size());
-    for (const PartitionDesc& desc : table) bounds.push_back(desc.lo);
     std::vector<Scheduler::NodeLoad> loads;
     std::map<NodeId, size_t> load_index;
     for (const auto& node : data_nodes_) {
@@ -1502,45 +1438,74 @@ SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
       load_index[node->id()] = loads.size();
       loads.push_back(Scheduler::NodeLoad{node->id(), 0});
     }
-    // Owned docs per (tablet, node): the measured load picture.
-    std::map<std::pair<size_t, NodeId>, size_t> owned_by;
-    for (const auto& [node, docs] : snapshot->by_node) {
-      auto li = load_index.find(node);
-      if (li == load_index.end()) continue;
-      loads[li->second].owned_docs += docs.size();
-      for (model::DocId id : docs) {
-        const uint64_t key = RouteKey(id);
-        const size_t slot =
-            std::upper_bound(bounds.begin(), bounds.end(), key) -
-            bounds.begin() - 1;
-        ++owned_by[{slot, node}];
+    // Served documents per tablet and node: the measured load picture.
+    struct Served {
+      PartitionId pid;
+      NodeId primary;
+      size_t docs;
+      std::set<NodeId> holders;
+    };
+    std::vector<Served> served;
+    {
+      std::lock_guard<std::mutex> lock(ptable_mutex_);
+      for (const auto& [bound, state] : ptable_) {
+        const Holder* primary = Primary(state);
+        if (primary == nullptr || state.doc_count == 0) continue;
+        auto li = load_index.find(primary->node);
+        if (li == load_index.end()) continue;
+        loads[li->second].owned_docs += state.doc_count;
+        Served& row = served.emplace_back(
+            Served{state.pid, primary->node, state.doc_count, {}});
+        for (const Holder& holder : state.holders) {
+          row.holders.insert(holder.node);
+        }
       }
     }
     const Scheduler::MoveChoice choice =
         scheduler_.PickMove(loads, options_.balance_tolerance);
     if (!choice.move) break;
-    // Best-fit: largest tablet share on the hot node that fits within the
-    // excess; if none fits, the smallest share overall (minimal overshoot).
-    size_t best_slot = table.size();
-    size_t best_count = 0;
+    // Best-fit: largest tablet on the hot node that fits within the
+    // excess; if none fits, the smallest overall (minimal overshoot). A
+    // tablet as large as the hot/cold gap would only swap the two roles.
+    const size_t gap = loads[load_index[choice.hot]].owned_docs -
+                       loads[load_index[choice.cold]].owned_docs;
+    const Served* best = nullptr;
     bool best_within = false;
-    for (const auto& [slot_node, count] : owned_by) {
-      if (slot_node.second != choice.hot || count == 0) continue;
-      const bool within = count <= choice.excess;
+    for (const Served& row : served) {
+      if (row.primary != choice.hot || row.docs >= gap) continue;
+      const bool within = row.docs <= choice.excess;
       const bool better =
-          best_slot == table.size() ||
-          (within && (!best_within || count > best_count)) ||
-          (!within && !best_within && count < best_count);
+          best == nullptr ||
+          (within && (!best_within || row.docs > best->docs)) ||
+          (!within && !best_within && row.docs < best->docs);
       if (better) {
-        best_slot = slot_node.first;
-        best_count = count;
+        best = &row;
         best_within = within;
       }
     }
-    if (best_slot == table.size()) break;
-    const size_t docs_moved =
-        MovePartitionReplica(table[best_slot].pid, choice.hot, choice.cold);
-    if (docs_moved == 0) break;  // could not act; do not spin this pass
+    if (best == nullptr) break;
+    // A cold node that already holds a copy just takes over serving it;
+    // otherwise the tablet migrates there.
+    size_t docs_moved = 0;
+    if (best->holders.count(choice.cold)) {
+      // Metadata-only: swap the two in the holder list.
+      std::lock_guard<std::mutex> lock(ptable_mutex_);
+      auto it = FindTablet(best->pid);
+      if (it == ptable_.end()) break;
+      std::vector<Holder>& holders = it->second.holders;
+      auto at = [&holders](NodeId node) {
+        return std::find_if(holders.begin(), holders.end(),
+                            [node](const Holder& h) { return h.node == node; });
+      };
+      if (at(choice.hot) == holders.end() || at(choice.cold) == holders.end()) {
+        break;
+      }
+      std::iter_swap(at(choice.hot), at(choice.cold));
+      it->second.epoch += 1;
+    } else {
+      docs_moved = MovePartitionReplica(best->pid, choice.hot, choice.cold);
+      if (docs_moved == 0) break;  // could not act; do not spin this pass
+    }
     ++report.moves;
     report.docs_moved += docs_moved;
   }
@@ -1594,57 +1559,58 @@ void SimulatedCluster::BalancerLoop(uint64_t interval_ms) {
 
 SimulatedCluster::IntegrityReport SimulatedCluster::CheckIntegrity() const {
   IntegrityReport report;
+  // No migration runs while the probes do. Concurrent writes and repairs
+  // only add documents after the counts below were read, and a holder they
+  // drop or promote meanwhile is simply not probed or probed early.
+  std::shared_lock<std::shared_mutex> move_lock(move_mutex_);
+  // Per valid holding node: its incarnation and the tablets it holds, as
+  // (lo, hi, exact count), in key order.
+  struct Listed {
+    uint64_t epoch = 0;
+    std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> tablets;
+  };
+  std::map<NodeId, Listed> listed;
   {
-    std::lock_guard<std::mutex> lock(directory_mutex_);
-    // Valid holders per node, with the node's current incarnation (every
-    // valid holder of one node carries it).
-    std::map<NodeId, std::pair<uint64_t, std::vector<model::DocId>>> listed;
-    for (const auto& [id, entry] : directory_) {
+    std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (auto it = ptable_.begin(); it != ptable_.end(); ++it) {
       std::set<NodeId> seen;
       bool duplicate = false;
-      for (const Holder& holder : entry.holders) {
+      for (const Holder& holder : it->second.holders) {
         if (!seen.insert(holder.node).second) duplicate = true;
         if (!HolderStillValid(holder.node, holder.epoch)) continue;
-        auto& [epoch, ids] = listed[holder.node];
-        epoch = holder.epoch;
-        ids.push_back(id);
+        Listed& node = listed[holder.node];
+        node.epoch = holder.epoch;
+        node.tablets.emplace_back(it->first, TabletEnd(it),
+                                  it->second.doc_count);
       }
       if (duplicate) ++report.duplicate_holders;
     }
-    // One probe per node on its own mailbox, with the directory lock still
-    // held so no commit can add or retarget a holder meanwhile (no data-node
-    // task takes directory_mutex_). A node that dies during its probe has
-    // invalidated its holders, so its result is discarded.
-    for (const auto& [node, listing] : listed) {
-      const auto& [epoch, ids] = listing;
-      std::shared_ptr<Partition> partition = PartitionFor(node);
-      size_t absent = 0;
-      const TaskOutcome outcome =
-          data_nodes_[node]->Run([partition, &ids, &absent] {
-            for (model::DocId id : ids) {
-              if (!partition->docs.count(id)) ++absent;
-            }
-          });
-      if (outcome == TaskOutcome::kExecuted && HolderStillValid(node, epoch)) {
-        report.phantom_holders += absent;
-      }
-    }
   }
-  {
-    std::lock_guard<std::mutex> lock(ptable_mutex_);
-    if (ptable_.empty() || ptable_.begin()->first != 0) {
-      ++report.table_coverage_violations;
-    }
-    std::set<PartitionId> pids;
-    for (const auto& [bound, state] : ptable_) {
-      if (!pids.insert(state.pid).second) ++report.duplicate_partition_ids;
-      if (state.replicas.empty()) ++report.empty_replica_sets;
-      std::set<NodeId> targets;
-      for (NodeId node : state.replicas) {
-        if (node >= data_nodes_.size() || !targets.insert(node).second) {
-          ++report.invalid_replica_targets;
-        }
+  // One probe per node on its own mailbox, counting its documents per held
+  // tablet. A node that dies during its probe has invalidated its holders,
+  // so its result is discarded.
+  const bool raw_ids = options_.key_range_partitioning;
+  for (const auto& [node, held] : listed) {
+    std::shared_ptr<Partition> partition = PartitionFor(node);
+    std::vector<uint64_t> found(held.tablets.size(), 0);
+    const TaskOutcome outcome = data_nodes_[node]->Run([&] {
+      for (const auto& [id, stored] : partition->docs) {
+        const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
+        auto it = std::upper_bound(
+            held.tablets.begin(), held.tablets.end(), key,
+            [](uint64_t k, const auto& tablet) { return k < std::get<0>(tablet); });
+        if (it == held.tablets.begin()) continue;
+        --it;
+        if (key <= std::get<1>(*it)) ++found[it - held.tablets.begin()];
       }
+    });
+    if (outcome != TaskOutcome::kExecuted || partition->epoch != held.epoch ||
+        !HolderStillValid(node, held.epoch)) {
+      continue;
+    }
+    for (size_t i = 0; i < found.size(); ++i) {
+      const uint64_t expected = std::get<2>(held.tablets[i]);
+      if (found[i] < expected) report.phantom_holders += expected - found[i];
     }
   }
   return report;
@@ -1670,8 +1636,12 @@ double SimulatedCluster::OwnershipSpread() const {
 
 std::map<NodeId, size_t> SimulatedCluster::OwnedCounts() const {
   std::map<NodeId, size_t> counts;
-  for (const auto& [node, owned] : OwnershipByNode()->by_node) {
-    counts[node] = owned.size();
+  std::lock_guard<std::mutex> lock(ptable_mutex_);
+  for (const auto& [bound, state] : ptable_) {
+    const Holder* primary = Primary(state);
+    if (primary != nullptr && state.doc_count > 0) {
+      counts[primary->node] += state.doc_count;
+    }
   }
   return counts;
 }

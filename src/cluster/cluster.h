@@ -10,7 +10,9 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/node.h"
@@ -58,6 +60,44 @@ struct ShipStats {
 // a merge retires the right id.
 using PartitionId = uint32_t;
 
+// A sorted set of inclusive routing-key ranges (tablets), with the routing
+// function that maps a document id into that key space: Mix64(id) by
+// default, the raw id under key-range partitioning.
+class KeyRanges {
+ public:
+  explicit KeyRanges(bool raw_ids = false) : raw_ids_(raw_ids) {}
+
+  static uint64_t RouteKey(bool raw_ids, model::DocId id);
+
+  // Adds [lo, hi] (inclusive); ranges never overlap.
+  void Add(uint64_t lo, uint64_t hi);
+  bool ContainsKey(uint64_t key) const;
+  bool Contains(model::DocId id) const {
+    return ContainsKey(RouteKey(raw_ids_, id));
+  }
+  bool empty() const { return ranges_.empty(); }
+  const std::vector<std::pair<uint64_t, uint64_t>>& ranges() const {
+    return ranges_;
+  }
+
+ private:
+  bool raw_ids_;
+  std::vector<std::pair<uint64_t, uint64_t>> ranges_;  // sorted by lo
+};
+
+// What a distributed facet/SQL query may read: every document except those
+// routed to an unreachable tablet (no valid holder, or every holder was lost
+// during the availability scan).
+struct Availability {
+  KeyRanges unreachable;
+  size_t servable_docs = 0;  // documents on reachable tablets
+
+  bool Servable(model::DocId id) const { return !unreachable.Contains(id); }
+  // True when every tablet answered: callers need no restriction at all.
+  bool complete() const { return unreachable.empty(); }
+  size_t size() const { return servable_docs; }
+};
+
 // One Impliance instance: data nodes own dynamically partitioned document
 // storage with local full-text indexes; grid nodes merge/join/aggregate;
 // cluster nodes coordinate consistent updates (annotation persistence)
@@ -71,7 +111,7 @@ class SimulatedCluster {
     size_t num_data_nodes = 4;
     size_t num_grid_nodes = 2;
     size_t num_cluster_nodes = 1;
-    size_t replication = 1;  // copies per document
+    size_t replication = 1;  // initial copy count of every tablet
 
     // ---- Dynamic partition management (Section 3.4 storage management).
     // Tablets carved at construction: this many per data node, equal-width
@@ -108,33 +148,35 @@ class SimulatedCluster {
 
   // ------------------------------------------------------------- Ingest
 
-  // Stores `doc` on `copies` data nodes (0 = the cluster default); assigns
+  // Stores `doc` on every valid holder of the tablet it routes to; assigns
   // and returns its id (a pre-set nonzero doc.id is honored, so a fronting
-  // store can mirror documents under its own ids). Only nodes that
-  // positively acknowledged the store are recorded as holders. Per-class
-  // copy counts are the storage manager's policy lever (Section 3.4).
+  // store can mirror documents under its own ids). `copies` (0 = the
+  // cluster default; the storage manager's per-class lever, Section 3.4)
+  // is a minimum: it raises the tablet's copy count for good. Fails when
+  // the tablet has documents but no valid holder: its data is lost.
   Result<model::DocId> Ingest(model::Document doc, size_t copies = 0);
 
+  // Routes `id` to its tablet and reads it from the first valid holder.
   Result<model::Document> Get(model::DocId id) const;
 
+  // Sum of the tablets' exact document counts.
   size_t num_documents() const;
 
   // -------------------------------------------------------------- Query
 
-  // Scatter-gather BM25 top-k: each data node searches the documents it
-  // currently owns; a grid node merges the partial top-k lists.
+  // Scatter-gather BM25 top-k: each data node ranks only the documents of
+  // the tablets it serves (an accept-predicate inside its index's top-k);
+  // a grid node merges the partial top-k lists.
   std::vector<index::InvertedIndex::SearchResult> KeywordSearch(
       const std::string& query, size_t k, ShipStats* stats = nullptr);
 
-  // Failure-aware availability scan: every owning data node reports which
-  // of its documents it can currently serve, with lost partition tasks
-  // failing over to replica holders like any other scatter. The union is
-  // what a distributed facet/SQL query may legitimately read; documents on
-  // unreachable partitions are reported through `stats` (degraded +
-  // missing_partitions) instead of being silently dropped — the mechanism
-  // that extends the complete-or-degraded contract beyond keyword search.
-  std::shared_ptr<const std::set<model::DocId>> AvailableDocs(
-      ShipStats* stats = nullptr);
+  // Failure-aware availability scan: a scatter with no work, in which each
+  // serving data node confirms it still holds its tablets. Tablets left
+  // without a reachable holder are the result's unreachable ranges, and
+  // their documents are reported through `stats` (degraded +
+  // missing_partitions) — the complete-or-degraded contract for facets
+  // and SQL.
+  std::shared_ptr<const Availability> AvailableDocs(ShipStats* stats = nullptr);
 
   // Distributed filter + group-by aggregate over documents of `kind`.
   struct AggQuery {
@@ -207,28 +249,23 @@ class SimulatedCluster {
   void RecoverNode(NodeId id);
 
   // Failure detector: returns nodes newly detected dead since the last
-  // call and removes them from the ownership directory.
+  // call and drops dead and stale holders from every tablet.
   std::vector<NodeId> DetectFailures();
 
-  // Restores `replication` copies of every under-replicated document by
-  // copying from surviving holders. Copy counts and early-stops are
-  // validated against the *live* directory (not the pass's snapshot), so a
-  // source holder dying mid-pass cannot fake completion, and a node is
-  // never recorded as a holder twice for one document. The pass is
-  // serialized with partition migrations (move_mutex_), so it never
-  // records a copy on a move's source that the move then deletes: every
-  // holder it commits holds the bytes.
+  // Brings every under-replicated tablet back to its copy count (see
+  // AddReplicasLocked). A tablet with documents but no valid holder is
+  // lost and skipped; an empty one is re-seeded on alive nodes.
   struct ReReplicateReport {
     uint64_t bytes_copied = 0;
-    // Documents the pass attempted but could not bring back to their
-    // desired copy count (no capacity, targets kept dying, or a source
-    // holder died mid-pass). Nonzero means the cluster is still exposed.
+    // Documents on tablets the pass attempted but could not bring back to
+    // their copy count (no capacity, or targets kept failing). Nonzero
+    // means the cluster is still exposed.
     size_t docs_unrestored = 0;
   };
   ReReplicateReport ReReplicate();
 
-  // Documents whose replica chain has at least one alive holder / exactly
-  // `replication` alive holders.
+  // Documents on tablets with at least one valid holder / at least their
+  // copy count of valid holders.
   size_t num_available_documents() const;
   size_t num_fully_replicated_documents() const;
 
@@ -236,8 +273,8 @@ class SimulatedCluster {
 
   // One row of the partition table: a half-open routing-key range
   // [lo, hi) — hi of the last partition is reported as UINT64_MAX and the
-  // range is inclusive there — with its preferred replica targets
-  // (primary first) and policy counters.
+  // range is inclusive there — with its holders (primary first) and policy
+  // counters.
   struct PartitionDesc {
     PartitionId pid = 0;
     uint64_t lo = 0;
@@ -246,44 +283,43 @@ class SimulatedCluster {
     // decision taken against a stale view of the tablet aborts instead of
     // committing against a different range or home.
     uint64_t epoch = 0;
+    // Holder nodes as listed, primary first. Dead or stale holders stay
+    // listed until DetectFailures drops them.
     std::vector<NodeId> replicas;
-    uint64_t doc_count = 0;
-    uint64_t traffic = 0;  // point ops (ingest/get) since last decay
+    uint64_t doc_count = 0;  // exact count of documents routed here
+    uint64_t traffic = 0;    // point ops (ingest/get) since last decay
   };
   std::vector<PartitionDesc> PartitionTable() const;
 
-  // Splits the partition at the median routed key of its current
-  // documents (range midpoints are useless under sequential-key skew).
-  // Metadata-only: both children keep the parent's replica targets, so no
-  // data moves; the balancer migrates a child later if load warrants.
-  // Returns false when the partition vanished (merged/split concurrently)
-  // or holds fewer than two distinct keys.
+  // Splits the partition at the median routed key of its documents (range
+  // midpoints are useless under sequential-key skew), as a valid holder
+  // reports them. Metadata-only: both children keep the parent's holders.
+  // Returns false when the partition vanished, has no valid holder, or
+  // holds fewer than two distinct keys.
   bool SplitPartition(PartitionId pid);
 
-  // Merges the partition with its right neighbor (metadata-only; the
-  // survivor keeps the left partition's id and replica targets — existing
-  // documents stay where the directory says they are, new ingest routes
-  // to the survivor's targets, and migration converges the rest).
-  // Returns false when the partition vanished or has no right neighbor.
+  // Merges the partition with its right neighbor. Metadata-only, so only
+  // possible when one side is empty or both have the same valid holders:
+  // the survivor keeps the left partition's id and those holders. Returns
+  // false when the partition vanished, has no right neighbor, or the
+  // holder sets differ.
   bool MergeWithRightNeighbor(PartitionId pid);
 
-  // Migrates one replica of a partition: every document in the partition's
-  // range currently held by `from` is copied to `to`, the directory entry
-  // is swapped under the directory mutex with PR 3's incarnation-epoch
-  // validity checks (a target that died between copy and commit is not
-  // recorded), and the source bytes are deleted afterwards with a
-  // version re-check so a concurrent update is re-copied, not lost. An
-  // in-flight scatter routed at the old holder either finds the bytes
-  // still there (delete not yet applied) or detects the absence and
-  // re-routes through the directory to the new home — never a silently
-  // half-moved partition. No repair pass or replicated store runs during
-  // the move (move_mutex_), so none can re-commit the source as a holder
-  // of bytes the move deletes. Returns the number of documents moved.
+  // Migrates one replica of a partition: the whole tablet is copied from
+  // the valid holder `from` to `to` (alive, not yet a holder), `to` takes
+  // `from`'s slot in the holder list if it is still alive in the
+  // incarnation it stored into, and the source copy is deleted on `from`'s
+  // mailbox afterwards. An in-flight scatter task on `from` either runs
+  // before the swap (bytes still there) or finds that `from` no longer
+  // holds the tablet and re-routes it to the new home — never a silently
+  // half-moved partition. Holds move_mutex_ exclusively, so no store,
+  // update or repair touches the tablet during the move. Returns the number
+  // of documents moved.
   size_t MovePartitionReplica(PartitionId pid, NodeId from, NodeId to);
 
   // One autonomic balancing pass: split every partition over the
   // size/traffic thresholds, merge cold neighbors, then migrate
-  // partitions off nodes whose owned-document count exceeds
+  // partitions off nodes whose served-document count exceeds
   // balance_tolerance * mean (policy kernel in Scheduler::PickMove),
   // at most max_moves_per_pass moves. Also decays traffic counters.
   struct RebalanceReport {
@@ -302,37 +338,29 @@ class SimulatedCluster {
   bool balancer_running() const;
   uint64_t balancer_passes() const { return balancer_passes_.load(); }
 
-  // Structural invariants, checked on demand by chaos tests and the
-  // rebalance bench after every step: the directory never lists one node
-  // twice for a document, every valid holder it lists really holds the
-  // document's bytes (no phantom holders), and the partition table is a
-  // gapless, non-overlapping cover of the routing-key space with valid,
-  // distinct replica targets. The phantom check probes each node that
-  // holds documents once, on its own mailbox, while the directory mutex is
-  // held — a blocking round trip per node, so this is a test/bench tool,
-  // not a hot-path call.
+  // The holder invariant, checked on demand by chaos tests and the
+  // rebalance bench after every step: no tablet lists one node twice, and
+  // every valid holder of a tablet holds as many of the tablet's routed
+  // documents as the tablet's exact count (no phantom holders). The table
+  // itself is a gapless cover by construction. Probes each holding node
+  // once, on its own mailbox, with move_mutex_ held shared so no migration
+  // runs meanwhile (a concurrent write only adds documents after the
+  // counts were read) — a test/bench tool, not a hot-path call.
   struct IntegrityReport {
-    size_t duplicate_holders = 0;      // docs listing one node >= twice
-    // Valid (alive, same-incarnation) holders whose partition lacks the
-    // document: queries route there and find nothing, and repair counts
-    // them as copies that do not exist.
+    size_t duplicate_holders = 0;  // tablets listing one node >= twice
+    // Documents missing from valid (alive, same-incarnation) holders,
+    // summed over holders: queries route there and find nothing, and
+    // repair counts them as copies that do not exist.
     size_t phantom_holders = 0;
-    size_t table_coverage_violations = 0;  // first range does not start at 0
-    size_t duplicate_partition_ids = 0;
-    size_t empty_replica_sets = 0;
-    size_t invalid_replica_targets = 0;  // out of range or listed twice
-    bool ok() const {
-      return duplicate_holders == 0 && phantom_holders == 0 &&
-             table_coverage_violations == 0 && duplicate_partition_ids == 0 &&
-             empty_replica_sets == 0 && invalid_replica_targets == 0;
-    }
+    bool ok() const { return duplicate_holders == 0 && phantom_holders == 0; }
   };
   IntegrityReport CheckIntegrity() const;
 
   // ------------------------------------------------------------- Stats
 
   size_t num_data_nodes_alive() const;
-  // Documents currently owned (served) per data node.
+  // Documents currently served per data node (the tablets it is the first
+  // valid holder of); nodes serving none are absent.
   std::map<NodeId, size_t> OwnedCounts() const;
   // max(owned)/mean(owned) across alive data nodes — the balancer's hot-
   // node signal and E22's headline metric. 1.0 = perfectly even.
@@ -344,18 +372,29 @@ class SimulatedCluster {
   ShipStats lifetime_traffic() const;
 
  private:
+  // One data node's storage incarnation. Documents are kept as their
+  // encoded bytes; readers decode. Only the owning node's thread touches
+  // `docs` and `inverted` (all access is routed through Node::Run). Held
+  // by shared_ptr: node recovery swaps in a fresh partition, and a task
+  // still running against the old incarnation must keep its (doomed,
+  // epoch-checked) object alive.
   struct Partition {
-    // Only the owning node's thread touches `docs` and `inverted` (all
-    // access is routed through Node::Run). Held by shared_ptr: node recovery
-    // swaps in a fresh partition, and a task still running against the old
-    // incarnation must keep its (doomed, epoch-checked) object alive.
+    struct Stored {
+      uint32_t version = 0;
+      std::string bytes;  // Document::Encode
+    };
     explicit Partition(uint64_t incarnation) : epoch(incarnation) {}
+    // Upsert: drops stale index postings first so re-stores stay
+    // idempotent.
+    void Put(model::DocId id, Stored stored, std::string_view text);
+    void Erase(model::DocId id);
+    static model::Document Decode(const Stored& stored);
     // The node incarnation this partition belongs to. A store reports this,
     // not the node's epoch at the time: a task that captured the slot just
     // before a fail/recover cycle swapped it writes into the old partition,
     // and must not be recorded as a holder of the new incarnation.
     const uint64_t epoch;
-    std::map<model::DocId, model::Document> docs;
+    std::map<model::DocId, Stored> docs;
     index::InvertedIndex inverted;
   };
 
@@ -367,16 +406,24 @@ class SimulatedCluster {
     uint64_t epoch;
   };
 
-  // One dynamic partition (tablet) of the routing-key space. Keyed in
-  // ptable_ by its inclusive lower bound; the range extends to the next
-  // entry's bound (the last tablet covers the tail of the key space).
+  // One dynamic partition (tablet) of the routing-key space, and the only
+  // record of where its documents live: every valid holder holds every
+  // document routed here. Keyed in ptable_ by its inclusive lower bound;
+  // the range extends to the next entry's bound (the last tablet covers the
+  // tail of the key space).
   struct PartitionState {
     PartitionId pid = 0;
-    uint64_t epoch = 0;
-    std::vector<NodeId> replicas;  // preferred targets, primary first
-    uint64_t doc_count = 0;        // routed documents (policy signal)
+    uint64_t epoch = 0;            // bumped by split/merge/migration
+    size_t copies = 1;             // desired holders; never falls
+    std::vector<Holder> holders;   // primary first
+    // Nodes a repair is copying the tablet to. They receive every write
+    // from the moment they join, so the copy plus those writes is the whole
+    // tablet when the repair promotes them to holders.
+    std::vector<Holder> joining;
+    uint64_t doc_count = 0;        // exact count of routed documents
     uint64_t traffic = 0;          // point ops since last decay
   };
+  using Table = std::map<uint64_t, PartitionState>;
 
   // Runs `fn` on an alive node of `pool`, retrying on another member when
   // the chosen node drops the task (it never ran, so re-submitting is
@@ -384,81 +431,66 @@ class SimulatedCluster {
   bool RunOnPool(const std::vector<std::unique_ptr<Node>>& pool,
                  std::atomic<uint64_t>* rr, const std::function<void()>& fn);
 
-  // One unit of scatter work: run something over `docs` on `node`, which
-  // must still be in incarnation `epoch` when the task runs — otherwise
-  // the partition no longer holds these documents and the task must be
-  // treated as lost, not as an (empty) success.
-  struct PartitionAssignment {
-    NodeId node;
-    uint64_t epoch;
-    std::shared_ptr<const std::set<model::DocId>> docs;
-  };
-  // Failure-aware scatter: submits one task per owning data node (built by
-  // `make_task`, which must allocate its own output slot and may be called
-  // again for failover attempts), waits for every outcome, and re-routes
-  // the work of lost tasks to surviving replica holders of the affected
-  // documents — bounded rounds, after which the loss is recorded in
-  // `stats` (degraded + missing_partitions) instead of being silently
-  // omitted. Documents that already have no alive holder at snapshot time
-  // are counted as missing up front. A task that executes but finds some
-  // assigned documents physically absent (the balancer migrated them
-  // between snapshot and execution) re-routes exactly those documents
-  // through the live directory instead of silently serving a hole.
-  // Updates tasks/failovers/critical_path_micros in `stats`.
-  void ScatterWithFailover(
-      const std::function<std::function<void()>(
-          NodeId node, std::shared_ptr<const std::set<model::DocId>> docs)>&
-          make_task,
-      ShipStats* stats);
-  // Regroups the documents of `lost` assignments by surviving holder
-  // (consulting the directory, which DetectFailures has just pruned).
-  // Documents with no alive holder increment stats->missing_partitions.
-  std::vector<PartitionAssignment> RerouteLost(
-      const std::vector<PartitionAssignment>& lost, ShipStats* stats) const;
-  // First valid holder of each document (ownership map), grouped by node.
-  // Cached (routing tables change only on ingest/membership events) and
-  // rebuilt lazily; returned as a shared snapshot so queries can hold it
-  // while node tasks run. `epochs` records each owning node's incarnation
-  // at snapshot time — scatter tasks verify it before trusting partition
-  // contents.
-  using OwnershipMap = std::map<NodeId, std::set<model::DocId>>;
-  struct OwnershipSnapshot {
-    OwnershipMap by_node;
-    std::map<NodeId, uint64_t> epochs;
-  };
-  // When `orphaned` is non-null it receives the number of documents with
-  // no valid holder in the same directory snapshot (consistent with the
-  // returned map).
-  std::shared_ptr<const OwnershipSnapshot> OwnershipByNode(
-      size_t* orphaned = nullptr) const;
-  void InvalidateOwnershipLocked() const { ownership_cache_.reset(); }
+  // One query's work on one data node, run on its mailbox thread over the
+  // tablets in `served` only.
+  using NodeWork =
+      std::function<void(const Partition& partition, const KeyRanges& served)>;
+  // Failure-aware scatter: assigns every tablet to its first valid holder,
+  // submits one task per serving node (built by `make_task`, which must
+  // allocate its own output slot and may be called again for failover
+  // attempts), waits for every outcome, and re-routes the tablets of lost
+  // tasks through the partition table — bounded rounds, after which the
+  // loss is recorded in `stats` (degraded + missing_partitions, counted in
+  // documents) instead of being silently omitted. Tablets with no valid
+  // holder at snapshot time are counted as missing up front. Before doing
+  // any work, each task checks on its node's mailbox that the node still
+  // holds every tablet it was assigned (a migration may have moved one
+  // since the snapshot); tablets it no longer holds are re-routed as lost
+  // work, never served as a hole. `unreachable` (optional) receives the
+  // key ranges given up. Updates tasks/failovers/critical_path_micros.
+  void ScatterWithFailover(const std::function<NodeWork(NodeId)>& make_task,
+                           ShipStats* stats, KeyRanges* unreachable = nullptr);
 
   // The key a document routes by: its Mix64 hash (uniform) or its raw id
   // (key-range mode). The partition table partitions this key space.
-  uint64_t RouteKey(model::DocId id) const;
-  // Placement policy: the routing partition's replica targets (primary
-  // first), extended ring-wise past the table's targets when a caller
-  // wants more copies than the tablet is configured with.
-  std::vector<NodeId> PlaceReplicas(model::DocId id, size_t copies) const;
-  // Stores `doc` (id already assigned) on its placed replicas and records
-  // acked, still-epoch-valid holders in the directory — the single
-  // placement path shared by Ingest, RunAnnotationPass, and recovery
-  // mirrors, so every write respects liveness and the partition table.
-  // Returns false when no replica target acknowledged the store.
-  bool StoreReplicated(const model::Document& doc, size_t copies,
-                       ShipStats* stats);
-  // Policy-counter maintenance (both take ptable_mutex_ internally).
+  uint64_t RouteKey(model::DocId id) const {
+    return KeyRanges::RouteKey(options_.key_range_partitioning, id);
+  }
+  // The tablet `key` routes to. Caller holds ptable_mutex_.
+  Table::iterator TabletFor(uint64_t key) const;
+  // Inclusive upper bound of the tablet at `it`. Caller holds ptable_mutex_.
+  uint64_t TabletEnd(Table::const_iterator it) const;
+  // The tablet with id `pid`, or end(). Caller holds ptable_mutex_.
+  Table::iterator FindTablet(PartitionId pid) const;
+  // First valid holder of `state`, or nullptr.
+  const Holder* Primary(const PartitionState& state) const;
+  size_t ValidHolders(const PartitionState& state) const;
+  // Drops dead and stale holders of one tablet.
+  void PruneHolders(PartitionState* state) const;
+  // Encodes `doc` once and stores the bytes on the valid holders and
+  // joining nodes of its tablet — including any that join while it runs —
+  // and counts it on the tablet when new. The single write path of Ingest,
+  // RunAnnotationPass and SearchJoinUpdate. Returns false when no holder
+  // acknowledged the store.
+  bool StoreReplicated(const model::Document& doc, ShipStats* stats);
+  // Adds holders to tablet `pid` until it has its copy count: each new one
+  // joins (receiving writes), gets a copy of the tablet from a valid
+  // holder, and is promoted if it is still alive in the same incarnation.
+  // Caller holds move_mutex_ shared and repair_mutex_. Returns bytes
+  // copied; `*restored` says whether the tablet reached its copy count.
+  uint64_t AddReplicasLocked(PartitionId pid, bool* restored);
+  // Alive nodes not listed as holders of `state`, in ring order after its
+  // primary: where the tablet's next copy goes.
+  std::vector<NodeId> SpareNodes(const PartitionState& state) const;
+  // Copies every document routed to [lo, hi] from holder `from` to node
+  // `to`, keeping any newer version `to` already has. Returns false unless
+  // both tasks ran on the expected incarnations; `epoch_to` receives the
+  // incarnation the copy went into, `bytes` its size, `ids` the ids copied.
+  bool CopyRange(const Holder& from, NodeId to, uint64_t lo, uint64_t hi,
+                 uint64_t* epoch_to, uint64_t* bytes,
+                 std::vector<model::DocId>* ids);
+  // Policy-counter maintenance (takes ptable_mutex_ internally).
   void BumpPartitionTraffic(model::DocId id) const;
-  void AdjustPartitionDocCount(model::DocId id, int64_t delta);
-  // Stores `doc` on the node's partition and reports the definitive
-  // outcome; only kExecuted means the node actually held the document when
-  // the store ran. `epoch_at_store` (optional) receives the incarnation of
-  // the partition the bytes went into — callers recording the node as a
-  // holder must re-check it with HolderStillValid, because a fail/recover
-  // cycle before or after the store leaves the bytes in a replaced
-  // partition.
-  TaskOutcome StoreOnNode(NodeId node, const model::Document& doc,
-                          uint64_t* epoch_at_store = nullptr);
   // True while `node` is alive in the same incarnation: bytes stored at
   // `epoch_at_store` are still there.
   bool HolderStillValid(NodeId node, uint64_t epoch_at_store) const;
@@ -466,7 +498,6 @@ class SimulatedCluster {
   // swaps the slot concurrently with readers, and unsynchronized read +
   // write of one shared_ptr object is a data race.
   std::shared_ptr<Partition> PartitionFor(NodeId node) const;
-  static uint64_t DocBytes(const model::Document& doc);
   void AccountTraffic(const ShipStats& stats);
   void BalancerLoop(uint64_t interval_ms);
 
@@ -480,39 +511,24 @@ class SimulatedCluster {
   mutable std::mutex partitions_mutex_;
   std::vector<std::shared_ptr<Partition>> partitions_;
 
-  struct DirEntry {
-    std::vector<Holder> holders;  // primary first; validity checked on use
-    uint8_t desired = 1;          // replication target for this document
-  };
-
-  mutable std::mutex directory_mutex_;
-  std::map<model::DocId, DirEntry> directory_;
-  std::set<NodeId> known_dead_;
-  mutable std::shared_ptr<const OwnershipSnapshot> ownership_cache_;
-  // Documents with zero alive holders at the time the ownership cache was
-  // built: data the cluster knows it cannot serve. Guarded by
-  // directory_mutex_, refreshed together with ownership_cache_.
-  mutable size_t orphaned_docs_ = 0;
-
   // The partition table: inclusive lower bound of each tablet's
-  // routing-key range -> tablet state. Lock order: ptable_mutex_ may be
-  // taken before directory_mutex_ (split/merge/integrity snapshots), never
-  // after it.
+  // routing-key range -> tablet state. A leaf lock: never held while
+  // waiting on a node task (scatter tasks take it on node threads to check
+  // that their node still holds its tablets).
   mutable std::mutex ptable_mutex_;
   // mutable: point reads (Get) bump per-partition traffic counters.
-  mutable std::map<uint64_t, PartitionState> ptable_;
+  mutable Table ptable_;
   PartitionId next_pid_ = 0;
-  // Excludes partition migrations (exclusive) from each other and from
-  // every path that stores bytes and then commits holders — ReReplicate and
-  // StoreReplicated (shared). Two concurrent opposite-direction moves could
-  // deadlock each other's worker threads; and a store that lands on a
-  // move's source after the holder swap, then commits that source, has its
-  // bytes erased by the move's source delete (for a same-version repair
-  // copy the version re-check cannot tell). Holding this keeps the
-  // directory invariant: a valid holder always holds the document's bytes.
-  // Never held while waiting on anything that takes it; no node task takes
-  // it.
-  std::shared_mutex move_mutex_;
+  std::set<NodeId> known_dead_;  // guarded by ptable_mutex_
+  // Keeps the holder invariant: a valid holder holds every document of its
+  // tablet. Exclusive: migration, split and merge, which move bytes or
+  // recut the table and must see no write meanwhile. Shared: writes
+  // (StoreReplicated), repair (AddReplicasLocked, whose joining nodes receive
+  // concurrent writes) and CheckIntegrity. Never held while waiting on
+  // anything that takes it; no node task takes it. mutable: CheckIntegrity.
+  mutable std::shared_mutex move_mutex_;
+  // Serializes repairs, so two never pick the same joining node.
+  std::mutex repair_mutex_;
 
   // Background balancer.
   mutable std::mutex balancer_mutex_;

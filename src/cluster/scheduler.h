@@ -60,8 +60,8 @@ class Scheduler {
 
   // ------------------------------------------------- Rebalancing policy
 
-  // Per-node serving load: documents this node currently owns (first
-  // valid holder) per the directory snapshot.
+  // Per-node serving load: documents on the tablets this node currently
+  // serves (their first valid holder), per the partition table.
   struct NodeLoad {
     NodeId node = 0;
     size_t owned_docs = 0;

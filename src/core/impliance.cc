@@ -35,7 +35,7 @@ std::string SnippetOf(const std::string& text) {
 class Impliance::DocumentTable : public query::Table {
  public:
   DocumentTable(const Impliance* owner, std::string kind, model::ViewDef view,
-                std::shared_ptr<const std::set<model::DocId>> available)
+                Servability available)
       : owner_(owner),
         kind_(std::move(kind)),
         view_(std::move(view)),
@@ -64,6 +64,56 @@ class Impliance::DocumentTable : public query::Table {
                                      const model::Value& value) const override {
     return RowsFor(owner_->values_.Lookup(view_.columns[column].path, value));
   }
+
+ protected:
+  // Streams the kind's documents batch by batch, resolving only the
+  // requested columns' paths: neither a GROUP BY nor a statistics sample
+  // materializes the whole view.
+  exec::BatchSourcePtr ScanBatchesImpl(
+      exec::Schema schema, std::vector<int> columns,
+      std::vector<exec::Predicate> hints) const override {
+    (void)hints;  // no zone maps here; callers re-apply predicates
+    class Source : public exec::BatchSource {
+     public:
+      Source(const DocumentTable* table, exec::Schema schema,
+             std::vector<int> columns)
+          : table_(table),
+            schema_(std::move(schema)),
+            columns_(std::move(columns)),
+            ids_(table->owner_->paths_.DocsOfKind(table->kind_)) {}
+      const exec::Schema& schema() const override { return schema_; }
+      uint64_t EstimatedRows() const override { return ids_.size(); }
+      bool NextBatch(exec::RowBatch* batch) override {
+        batch->clear();
+        while (next_ < ids_.size() && batch->size() < exec::kDefaultBatchRows) {
+          const model::DocId id = ids_[next_++];
+          if (!table_->Servable(id)) continue;
+          Result<model::Document> doc = table_->owner_->store_->Get(id);
+          if (!doc.ok()) continue;
+          exec::Row row;
+          row.reserve(columns_.size());
+          for (int column : columns_) {
+            const model::Value* value = model::ResolvePath(
+                doc->root, table_->view_.columns[column].path);
+            row.push_back(value == nullptr ? model::Value::Null() : *value);
+          }
+          batch->rows.push_back(std::move(row));
+        }
+        return !batch->empty();
+      }
+
+     private:
+      const DocumentTable* table_;
+      exec::Schema schema_;
+      std::vector<int> columns_;
+      std::vector<model::DocId> ids_;
+      size_t next_ = 0;
+    };
+    return std::make_unique<Source>(this, std::move(schema),
+                                    std::move(columns));
+  }
+
+ public:
 
   std::vector<exec::Row> IndexRange(int column, const model::Value* lo,
                                     const model::Value* hi) const override {
@@ -97,17 +147,17 @@ class Impliance::DocumentTable : public query::Table {
     return rows;
   }
 
-  // Documents outside the availability set are on unreachable partitions;
-  // the caller reports them as missing rather than serving them from the
+  // Documents the availability rejects are on unreachable partitions; the
+  // caller reports them as missing rather than serving them from the
   // local mirror as if the cluster were healthy.
   bool Servable(model::DocId id) const {
-    return available_ == nullptr || available_->count(id) != 0;
+    return available_ == nullptr || available_(id);
   }
 
   const Impliance* owner_;
   std::string kind_;
   model::ViewDef view_;
-  std::shared_ptr<const std::set<model::DocId>> available_;
+  Servability available_;
   exec::Schema schema_;
 };
 
@@ -116,7 +166,7 @@ class Impliance::DocumentTable : public query::Table {
 class Impliance::ClassTable : public query::Table {
  public:
   ClassTable(const Impliance* owner, discovery::SchemaClass schema_class,
-             std::shared_ptr<const std::set<model::DocId>> available)
+             Servability available)
       : owner_(owner),
         class_(std::move(schema_class)),
         available_(std::move(available)) {
@@ -134,7 +184,7 @@ class Impliance::ClassTable : public query::Table {
       std::map<std::string, std::string> attr_to_path;
       for (const auto& [path, attr] : mapping) attr_to_path[attr] = path;
       for (model::DocId id : owner_->paths_.DocsOfKind(kind)) {
-        if (available_ != nullptr && available_->count(id) == 0) continue;
+        if (available_ != nullptr && !available_(id)) continue;
         Result<model::Document> doc = owner_->store_->Get(id);
         if (!doc.ok()) continue;
         exec::Row row;
@@ -175,7 +225,7 @@ class Impliance::ClassTable : public query::Table {
  private:
   const Impliance* owner_;
   discovery::SchemaClass class_;
-  std::shared_ptr<const std::set<model::DocId>> available_;
+  Servability available_;
   exec::Schema schema_;
 };
 
@@ -253,10 +303,10 @@ Result<std::unique_ptr<Impliance>> Impliance::Open(ImplianceOptions options) {
         if (raw->scale_out_ != nullptr) {
           // Rebuild the mirror from the durable store (blade contents are
           // memory-resident and were lost with the process). A failed
-          // mirror here would leave the document with no directory entry,
-          // so every distributed query would silently omit it while
-          // reporting degraded=false — fail Open instead, like
-          // InfuseLocked/Update fail the write.
+          // mirror here would leave the document on no blade, so every
+          // distributed query would silently omit it while reporting
+          // degraded=false — fail Open instead, like InfuseLocked/Update
+          // fail the write.
           Result<model::DocId> mirrored = raw->scale_out_->Ingest(doc);
           if (!mirrored.ok()) {
             mirror_status = Status::IOError(
@@ -294,6 +344,7 @@ Status Impliance::IndexDocumentLocked(const model::Document& doc) {
   for (const model::DocRef& ref : doc.refs) {
     joins_.AddEdge(doc.id, ref.target, ref.relation);
   }
+  std::lock_guard<std::mutex> lock(view_mutex_);
   dirty_kinds_.insert(doc.kind);
   return Status::OK();
 }
@@ -303,6 +354,7 @@ Status Impliance::DeindexDocumentLocked(const model::Document& doc) {
   paths_.RemoveDocument(doc);
   values_.RemoveDocument(doc);
   facets_.RemoveDocument(doc);
+  std::lock_guard<std::mutex> lock(view_mutex_);
   dirty_kinds_.insert(doc.kind);
   return Status::OK();
 }
@@ -453,7 +505,7 @@ query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query
     // aggregates to what the blades can actually serve and report the
     // unreachable remainder, instead of answering from ghosts.
     cluster::ShipStats ship;
-    restricted.restrict_to = scale_out_->AvailableDocs(&ship);
+    restricted.restrict_to = ServableDocs(&ship);
     if (health != nullptr) {
       health->degraded = ship.degraded;
       health->missing_partitions = ship.missing_partitions;
@@ -497,10 +549,16 @@ std::vector<SearchHit> Impliance::SearchField(const std::string& path,
 }
 
 model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
-  auto cached = view_cache_.find(kind);
-  if (cached != view_cache_.end() && !dirty_kinds_.count(kind)) {
-    return cached->second;
+  {
+    std::lock_guard<std::mutex> lock(view_mutex_);
+    auto cached = view_cache_.find(kind);
+    if (cached != view_cache_.end() && !dirty_kinds_.count(kind)) {
+      return cached->second;
+    }
   }
+  // Inferred outside view_mutex_: concurrent SQL calls may both infer the
+  // same view, which is harmless. No writer can dirty the kind meanwhile —
+  // writers hold mutex_ exclusively and the caller holds it shared.
   // Infer from up to 32 sample documents of the kind.
   std::vector<model::Document> sample_docs;
   std::vector<const model::Document*> sample;
@@ -511,13 +569,21 @@ model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   }
   for (const model::Document& doc : sample_docs) sample.push_back(&doc);
   model::ViewDef view = model::InferView(kind, kind, sample);
+  std::lock_guard<std::mutex> lock(view_mutex_);
   view_cache_[kind] = view;
   dirty_kinds_.erase(kind);
   return view;
 }
 
-query::Catalog Impliance::BuildCatalogLocked(
-    std::shared_ptr<const std::set<model::DocId>> available) const {
+Impliance::Servability Impliance::ServableDocs(cluster::ShipStats* ship) const {
+  std::shared_ptr<const cluster::Availability> available =
+      scale_out_->AvailableDocs(ship);
+  // Every tablet reachable: nothing to restrict.
+  if (available->complete()) return nullptr;
+  return [available](model::DocId id) { return available->Servable(id); };
+}
+
+query::Catalog Impliance::BuildCatalogLocked(Servability available) const {
   query::Catalog catalog;
   for (const std::string& kind : paths_.Kinds()) {
     catalog.Register(std::make_shared<DocumentTable>(
@@ -597,10 +663,10 @@ Result<std::vector<exec::Row>> Impliance::SqlAs(const std::string& principal,
   // Availability before the scan: with a scale-out tier, table scans may
   // only read documents the blades can serve; the rest is reported through
   // `health` — the same complete-or-degraded contract keyword search has.
-  std::shared_ptr<const std::set<model::DocId>> available;
+  Servability available;
   if (scale_out_ != nullptr) {
     cluster::ShipStats ship;
-    available = scale_out_->AvailableDocs(&ship);
+    available = ServableDocs(&ship);
     if (health != nullptr) {
       health->degraded = ship.degraded;
       health->missing_partitions = ship.missing_partitions;

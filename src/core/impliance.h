@@ -2,8 +2,10 @@
 #define IMPLIANCE_CORE_IMPLIANCE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -260,10 +262,14 @@ class Impliance {
   Status DeindexDocumentLocked(const model::Document& doc);
   Result<model::DocId> InfuseLocked(model::Document doc);
   model::ViewDef ViewForLocked(const std::string& kind) const;
-  // `available` (optional) restricts every table to that document set —
-  // the scale-out tier's availability scan under partial failure.
-  query::Catalog BuildCatalogLocked(
-      std::shared_ptr<const std::set<model::DocId>> available = nullptr) const;
+  // Which documents a scale-out query may read; null = all of them.
+  using Servability = std::function<bool(model::DocId)>;
+  // Runs the scale-out tier's availability scan. Null when every tablet
+  // answered, else a per-document check of the tablet's reachability.
+  Servability ServableDocs(cluster::ShipStats* ship) const;
+  // `available` (optional) restricts every table to the documents it
+  // accepts — the availability scan under partial failure.
+  query::Catalog BuildCatalogLocked(Servability available = nullptr) const;
   std::string LabelFor(model::DocId id) const;
 
   ImplianceOptions options_;
@@ -290,8 +296,11 @@ class Impliance {
   // Entity-resolution merges already recorded (doc pairs).
   std::set<std::pair<model::DocId, model::DocId>> merged_entities_;
 
-  mutable std::map<std::string, model::ViewDef> view_cache_;
-  mutable std::set<std::string> dirty_kinds_;
+  // Inferred SQL views. ViewForLocked runs under the *shared* mutex_, so
+  // concurrent SQL calls would race on these without their own guard.
+  mutable std::mutex view_mutex_;
+  mutable std::map<std::string, model::ViewDef> view_cache_;  // view_mutex_
+  mutable std::set<std::string> dirty_kinds_;                 // view_mutex_
 
   mutable AccessController access_;
   mutable AuditLog audit_;

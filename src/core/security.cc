@@ -1,5 +1,9 @@
 #include "core/security.h"
 
+#include <algorithm>
+
+#include "obs/metrics.h"
+
 namespace impliance::core {
 
 void AccessController::CreatePrincipal(const std::string& principal) {
@@ -56,6 +60,8 @@ std::vector<std::string> AccessController::Principals() const {
 uint64_t AuditLog::Record(std::string principal, std::string interface,
                           std::string query,
                           std::vector<model::DocId> docs) {
+  static obs::Counter* const evicted =
+      obs::Registry::Global().GetCounter("audit.evicted");
   std::lock_guard<std::mutex> lock(mutex_);
   Entry entry;
   entry.seq = next_seq_++;
@@ -63,22 +69,26 @@ uint64_t AuditLog::Record(std::string principal, std::string interface,
   entry.interface = std::move(interface);
   entry.query = std::move(query);
   entry.docs_accessed = std::move(docs);
-  entries_.push_back(std::move(entry));
-  return entries_.back().seq;
+  if (entries_.size() < kCapacity) {
+    entries_.push_back(std::move(entry));
+  } else {
+    entries_[next_slot_] = std::move(entry);
+    next_slot_ = (next_slot_ + 1) % kCapacity;
+    evicted->Increment();
+  }
+  return next_seq_ - 1;
 }
 
 std::vector<AuditLog::Entry> AuditLog::QueriesTouching(
     model::DocId doc) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Entry> matching;
-  for (const Entry& entry : entries_) {
-    for (model::DocId accessed : entry.docs_accessed) {
-      if (accessed == doc) {
-        matching.push_back(entry);
-        break;
-      }
+  ForEachLocked([&](const Entry& entry) {
+    if (std::find(entry.docs_accessed.begin(), entry.docs_accessed.end(),
+                  doc) != entry.docs_accessed.end()) {
+      matching.push_back(entry);
     }
-  }
+  });
   return matching;
 }
 
@@ -86,9 +96,9 @@ std::vector<AuditLog::Entry> AuditLog::ByPrincipal(
     const std::string& principal) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Entry> matching;
-  for (const Entry& entry : entries_) {
+  ForEachLocked([&](const Entry& entry) {
     if (entry.principal == principal) matching.push_back(entry);
-  }
+  });
   return matching;
 }
 

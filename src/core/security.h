@@ -40,9 +40,15 @@ class AccessController {
 
 // Monitoring and auditing (Section 4): every query is recorded with the
 // documents it surfaced, so one can "trace ... queries that have accessed"
-// a piece of data. Thread-safe, append-only.
+// a piece of data. Thread-safe. The log keeps the most recent kCapacity
+// entries in a fixed ring: memory stays bounded however many queries the
+// appliance serves. Sequence numbers stay monotone across evictions, and
+// each eviction increments the `audit.evicted` registry counter.
 class AuditLog {
  public:
+  // About 1.3 MB at ~310 bytes per entry.
+  static constexpr size_t kCapacity = 4096;
+
   struct Entry {
     uint64_t seq = 0;
     std::string principal;
@@ -55,16 +61,28 @@ class AuditLog {
   uint64_t Record(std::string principal, std::string interface,
                   std::string query, std::vector<model::DocId> docs);
 
-  // Hippocratic-database style disclosure: which queries touched `doc`?
+  // Hippocratic-database style disclosure: which retained queries touched
+  // `doc`? Oldest first.
   std::vector<Entry> QueriesTouching(model::DocId doc) const;
 
   std::vector<Entry> ByPrincipal(const std::string& principal) const;
 
+  // Retained entries (at most kCapacity).
   size_t size() const;
 
  private:
+  // Calls `fn` on every retained entry, oldest first. Caller holds mutex_.
+  template <typename Fn>
+  void ForEachLocked(Fn fn) const {
+    const size_t start = entries_.size() < kCapacity ? 0 : next_slot_;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      fn(entries_[(start + i) % entries_.size()]);
+    }
+  }
+
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  // ring once it reaches kCapacity
+  size_t next_slot_ = 0;        // slot of the oldest entry once full
   uint64_t next_seq_ = 1;
 };
 

@@ -36,20 +36,16 @@ std::vector<FacetIndex::FacetCount> FacetIndex::CountFacet(
   if (path_it == facets_.end()) return {};
   std::vector<FacetCount> counts;
   for (const auto& [value, docs] : path_it->second) {
-    // Both lists are sorted; count the intersection size.
+    // Both lists are sorted. Each of the value's documents is searched in
+    // the rest of the candidates, so the cost follows the value's posting
+    // count, not the candidate count — a merge walk per value cost
+    // O(values x candidates) on high-cardinality paths.
     size_t n = 0;
     auto ci = candidates.begin();
-    auto di = docs.begin();
-    while (ci != candidates.end() && di != docs.end()) {
-      if (*ci < *di) {
-        ++ci;
-      } else if (*di < *ci) {
-        ++di;
-      } else {
-        ++n;
-        ++ci;
-        ++di;
-      }
+    for (model::DocId doc : docs) {
+      ci = std::lower_bound(ci, candidates.end(), doc);
+      if (ci == candidates.end()) break;
+      if (*ci == doc) ++n;
     }
     if (n > 0) counts.push_back(FacetCount{value, n});
   }

@@ -480,11 +480,11 @@ bool InvertedIndex::OrderedQueryTerms(std::string_view phrase,
 }
 
 std::vector<InvertedIndex::SearchResult> InvertedIndex::Search(
-    std::string_view query, size_t k) const {
+    std::string_view query, size_t k, const DocFilter& accept) const {
   obs::ScopedSpan span("index.search");
   const uint64_t start_us = NowMicros();
   SearchStats stats;
-  std::vector<SearchResult> results = Search(query, k, &stats);
+  std::vector<SearchResult> results = Search(query, k, &stats, accept);
   SearchLatencyHistogram()->Add(static_cast<double>(NowMicros() - start_us));
   PostingsScoredCounter()->Increment(stats.postings_scored);
   BlocksSkippedCounter()->Increment(stats.blocks_skipped);
@@ -492,7 +492,8 @@ std::vector<InvertedIndex::SearchResult> InvertedIndex::Search(
 }
 
 std::vector<InvertedIndex::SearchResult> InvertedIndex::Search(
-    std::string_view query, size_t k, SearchStats* stats) const {
+    std::string_view query, size_t k, SearchStats* stats,
+    const DocFilter& accept) const {
   SearchStats scratch;
   if (stats == nullptr) stats = &scratch;
   if (k == 0) return {};
@@ -555,6 +556,14 @@ std::vector<InvertedIndex::SearchResult> InvertedIndex::Search(
       d = std::min(d, cursors[j].doc());
     }
     if (d == kSentinelDoc) break;
+    if (accept && !accept(d)) {
+      // Rejected: step the essential cursors past d without scoring it.
+      // Non-essential cursors only ever seek forward, so they need nothing.
+      for (size_t j = first_essential; j < n; ++j) {
+        if (cursors[j].doc() == d) cursors[j].Next();
+      }
+      continue;
+    }
     const double doc_len = static_cast<double>(doc_lengths_.at(d));
     const bool full = heap.size() >= k;
 

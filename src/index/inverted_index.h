@@ -2,6 +2,7 @@
 #define IMPLIANCE_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -65,11 +66,19 @@ class InvertedIndex {
     return doc_terms_.count(id) > 0;
   }
 
+  // Optional accept-predicate for Search: only documents it accepts are
+  // ranked. Empty = every document. The top-k is exactly the top-k of the
+  // accepted documents; rejecting documents never invalidates the
+  // block-max bounds, which only over-estimate.
+  using DocFilter = std::function<bool(model::DocId)>;
+
   // Disjunctive BM25 top-k with block-max early termination. Ties broken
   // by doc id (ascending) so results are deterministic.
-  std::vector<SearchResult> Search(std::string_view query, size_t k) const;
   std::vector<SearchResult> Search(std::string_view query, size_t k,
-                                   SearchStats* stats) const;
+                                   const DocFilter& accept = {}) const;
+  std::vector<SearchResult> Search(std::string_view query, size_t k,
+                                   SearchStats* stats,
+                                   const DocFilter& accept = {}) const;
 
   // Reference scorer: exhaustively evaluates every posting of every query
   // term. Same contract as Search; exists as the equivalence oracle and

@@ -87,9 +87,29 @@ std::vector<std::string> CollectDistinctPaths(const Item& root) {
   return std::vector<std::string>(distinct.begin(), distinct.end());
 }
 
+namespace {
+
+// The first node in pre-order (CollectPaths order) under `node`, inclusive,
+// whose path relative to node's parent is `rest`. A subtree whose path is
+// not a prefix of `rest` cannot hold a match, so it is skipped without
+// building any path string.
+const Value* FindPath(const Item& node, std::string_view rest) {
+  if (rest.size() <= node.name.size() || rest[0] != '/' ||
+      rest.compare(1, node.name.size(), node.name) != 0) {
+    return nullptr;
+  }
+  rest.remove_prefix(node.name.size() + 1);
+  if (rest.empty()) return &node.value;
+  for (const Item& child : node.children) {
+    if (const Value* value = FindPath(child, rest)) return value;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 const Value* ResolvePath(const Item& root, std::string_view path) {
-  std::vector<const Value*> all = ResolvePathAll(root, path);
-  return all.empty() ? nullptr : all.front();
+  return FindPath(root, path);
 }
 
 std::vector<const Value*> ResolvePathAll(const Item& root,

@@ -49,7 +49,7 @@ FacetedResult FacetedSearch::Run(const FacetedQuery& query) const {
     candidates.erase(
         std::remove_if(candidates.begin(), candidates.end(),
                        [&query](model::DocId doc) {
-                         return query.restrict_to->count(doc) == 0;
+                         return !query.restrict_to(doc);
                        }),
         candidates.end());
   }

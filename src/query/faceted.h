@@ -1,6 +1,7 @@
 #ifndef IMPLIANCE_QUERY_FACETED_H_
 #define IMPLIANCE_QUERY_FACETED_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -37,12 +38,12 @@ struct FacetedQuery {
   // ("sum", "avg", "min", "max", "count").
   std::vector<std::pair<std::string, std::string>> aggregates;
   size_t top_k = 10;
-  // When set, only these documents may contribute to the result — the
-  // caller's availability set under partial cluster failure. Documents
-  // outside it are excluded from candidates, facet counts, and aggregates
-  // (the caller reports them as missing rather than silently including a
+  // When set, only documents it accepts may contribute to the result — the
+  // caller's availability under partial cluster failure. Rejected documents
+  // are excluded from candidates, facet counts, and aggregates (the caller
+  // reports them as missing rather than silently including a
   // locally-cached ghost of an unreachable partition).
-  std::shared_ptr<const std::set<model::DocId>> restrict_to;
+  std::function<bool(model::DocId)> restrict_to;
 };
 
 struct FacetedResult {

@@ -527,14 +527,16 @@ void ImplianceServer::Shutdown() {
   }
 
   // 1. Stop accepting: new requests on existing connections now get
-  //    kShuttingDown; closing the listener wakes the accept loop.
+  //    kShuttingDown; shutting the listener down wakes the accept loop.
+  //    The accept thread reads listen_fd_, so the descriptor is closed and
+  //    the field reset only after that thread has been joined.
   draining_.store(true, std::memory_order_release);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Finish everything already admitted — in-flight requests complete
   //    and their responses are written before any connection closes.

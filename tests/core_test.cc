@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -88,6 +90,52 @@ TEST(ImplianceTest, SqlOverInferredViews) {
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0][0].string_value(), "london");
   EXPECT_DOUBLE_EQ((*rows)[0][1].double_value(), 35.0);
+}
+
+TEST(ImplianceTest, ConcurrentSqlWhileInfusing) {
+  TempDir dir("concurrent_sql");
+  auto opened = Impliance::Open({.data_dir = dir.path(),
+                                 .scale_out_data_nodes = 4,
+                                 .scale_out_replication = 2});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Impliance> impliance = std::move(opened).value();
+  ASSERT_TRUE(impliance
+                  ->InfuseContent("order", "order_no,city,total\n"
+                                           "1,london,10\n2,paris,30\n")
+                  .ok());
+  // Every infuse dirties the `order` view, so each SQL call below may
+  // re-infer it while the other does too: both run under the shared
+  // appliance lock.
+  std::atomic<bool> stop{false};
+  std::atomic<int> infused{0};
+  std::thread writer([&] {
+    for (int i = 3; i < 200; ++i) {
+      const std::string row = std::to_string(i) + ",rome," +
+                              std::to_string(i) + "\n";
+      EXPECT_TRUE(
+          impliance->InfuseContent("order", "order_no,city,total\n" + row)
+              .ok());
+      infused.fetch_add(1);
+    }
+    stop.store(true);
+  });
+  auto reader = [&] {
+    while (!stop.load()) {
+      QueryHealth health;
+      auto rows = impliance->Sql("SELECT order_no FROM order", &health);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_FALSE(health.degraded);
+      EXPECT_GE(rows->size(), 2u);
+    }
+  };
+  std::thread reader_a(reader);
+  std::thread reader_b(reader);
+  writer.join();
+  reader_a.join();
+  reader_b.join();
+  auto rows = impliance->Sql("SELECT order_no FROM order");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 2u + infused.load());
 }
 
 TEST(ImplianceTest, UpdateCreatesNewVersionAndReindexes) {

@@ -137,6 +137,62 @@ TEST_P(SearchEquivalenceTest, TopKMatchesExhaustiveAfterChurn) {
   }
 }
 
+// The exhaustive oracle with an accept-predicate: rank everything, keep
+// the accepted documents, cut to k.
+std::vector<InvertedIndex::SearchResult> FilteredExhaustive(
+    const InvertedIndex& idx, const std::string& query, size_t k,
+    const InvertedIndex::DocFilter& accept) {
+  std::vector<InvertedIndex::SearchResult> all =
+      idx.SearchExhaustive(query, idx.num_documents());
+  all.erase(std::remove_if(all.begin(), all.end(),
+                           [&](const InvertedIndex::SearchResult& r) {
+                             return !accept(r.doc);
+                           }),
+            all.end());
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+TEST_P(SearchEquivalenceTest, FilteredTopKMatchesFilteredExhaustive) {
+  Rng rng(GetParam() + 4242);
+  Corpus corpus(&rng, 200);
+  InvertedIndex idx;
+  std::vector<DocId> live;
+  DocId next_id = 1;
+  for (size_t d = 0; d < 500; ++d) {
+    idx.AddDocument(next_id, corpus.MakeDoc(&rng, 5 + rng.Uniform(50)));
+    live.push_back(next_id++);
+  }
+  // Predicates of different densities: most, half, and a sparse residue
+  // class, so rejected runs span whole blocks as well as single postings.
+  const std::vector<InvertedIndex::DocFilter> filters = {
+      [](DocId id) { return id % 10 != 0; },
+      [](DocId id) { return id % 2 == 0; },
+      [](DocId id) { return id % 17 == 3; },
+  };
+  for (int round = 0; round < 6; ++round) {
+    // Removal churn between rounds leaves loose block-max bounds behind.
+    for (int i = 0; i < 40 && live.size() > 100; ++i) {
+      const size_t at = rng.Uniform(live.size());
+      idx.RemoveDocument(live[at]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(at));
+    }
+    for (int i = 0; i < 20; ++i) {
+      idx.AddDocument(next_id, corpus.MakeDoc(&rng, 5 + rng.Uniform(50)));
+      live.push_back(next_id++);
+    }
+    for (int q = 0; q < 10; ++q) {
+      const std::string query = corpus.MakeQuery(&rng, 1 + rng.Uniform(4));
+      for (const InvertedIndex::DocFilter& accept : filters) {
+        for (size_t k : {size_t{1}, size_t{10}, size_t{100}}) {
+          ExpectSameTopK(FilteredExhaustive(idx, query, k, accept),
+                         idx.Search(query, k, accept), query, k);
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SearchEquivalenceTest, SearchAllMatchesOracle) {
   Rng rng(GetParam() + 31337);
   Corpus corpus(&rng, 120);

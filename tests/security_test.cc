@@ -83,6 +83,42 @@ TEST(AuditLogTest, RecordsAndQueriesBack) {
   EXPECT_GT(by_alice[0].seq, 0u);
 }
 
+TEST(AuditLogTest, KeepsOnlyTheMostRecentEntries) {
+  AuditLog audit;
+  obs::Counter* evicted = obs::Registry::Global().GetCounter("audit.evicted");
+  const uint64_t evicted_before = evicted->Value();
+  constexpr size_t kExtra = 100;
+  constexpr size_t kTotal = AuditLog::kCapacity + kExtra;
+  uint64_t last_seq = 0;
+  for (size_t i = 0; i < kTotal; ++i) {
+    // Document i is touched by query i only.
+    const uint64_t seq = audit.Record(i % 2 == 0 ? "alice" : "bob", "get",
+                                      std::to_string(i), {i});
+    EXPECT_GT(seq, last_seq);
+    last_seq = seq;
+  }
+  EXPECT_EQ(audit.size(), AuditLog::kCapacity);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(evicted->Value() - evicted_before, kExtra);
+  }
+
+  // The newest entries survive, oldest first; the oldest are gone.
+  const std::vector<AuditLog::Entry> by_bob = audit.ByPrincipal("bob");
+  ASSERT_EQ(by_bob.size(), AuditLog::kCapacity / 2);
+  EXPECT_EQ(by_bob.back().query, std::to_string(kTotal - 1));
+  EXPECT_EQ(by_bob.back().seq, last_seq);
+  EXPECT_EQ(by_bob.front().query, std::to_string(kExtra + 1));
+  EXPECT_TRUE(audit.QueriesTouching(0).empty());
+  EXPECT_TRUE(audit.QueriesTouching(kExtra - 1).empty());
+
+  const std::vector<AuditLog::Entry> recent = audit.QueriesTouching(kTotal - 2);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].principal, "alice");
+  EXPECT_EQ(recent[0].query, std::to_string(kTotal - 2));
+  EXPECT_EQ(recent[0].seq, last_seq - 1);
+  ASSERT_EQ(audit.QueriesTouching(kExtra).size(), 1u);
+}
+
 // ------------------------------------------------------- Facade integration
 
 TEST(ImplianceSecurityTest, SearchFilteredByPrincipal) {
