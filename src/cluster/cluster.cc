@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -83,9 +84,17 @@ void SimulatedCluster::Partition::Erase(model::DocId id) {
   if (docs.erase(id) > 0) inverted.RemoveDocument(id);
 }
 
+SimulatedCluster::Partition::Stored::Stored(uint32_t version,
+                                            std::string_view bytes)
+    : version(version),
+      size(static_cast<uint32_t>(bytes.size())),
+      data(new char[bytes.size()]) {
+  std::copy(bytes.begin(), bytes.end(), data.get());
+}
+
 model::Document SimulatedCluster::Partition::Decode(const Stored& stored) {
   model::Document doc;
-  IMPLIANCE_CHECK(model::Document::Decode(stored.bytes, &doc));
+  IMPLIANCE_CHECK(model::Document::Decode(stored.bytes(), &doc));
   return doc;
 }
 
@@ -220,10 +229,10 @@ std::vector<NodeId> SimulatedCluster::SpareNodes(
   std::vector<NodeId> spare;
   for (size_t step = 0; step < n; ++step) {
     const NodeId node = static_cast<NodeId>((start + step) % n);
-    const bool listed =
-        std::any_of(state.holders.begin(), state.holders.end(),
-                    [node](const Holder& holder) { return holder.node == node; });
-    if (!listed && data_nodes_[node]->alive()) spare.push_back(node);
+    if (FindNode(&state.holders, node) == state.holders.end() &&
+        data_nodes_[node]->alive()) {
+      spare.push_back(node);
+    }
   }
   return spare;
 }
@@ -243,8 +252,9 @@ std::shared_ptr<SimulatedCluster::Partition> SimulatedCluster::PartitionFor(
 
 bool SimulatedCluster::StoreReplicated(const model::Document& doc,
                                        ShipStats* stats) {
-  Partition::Stored stored{doc.version, {}};
-  doc.Encode(&stored.bytes);
+  std::string bytes;
+  doc.Encode(&bytes);
+  const Partition::Stored stored(doc.version, bytes);
   const std::string text = doc.Text();
   // Writers share move_mutex_: no migration or split runs between this
   // store and its commit.
@@ -263,18 +273,21 @@ bool SimulatedCluster::StoreReplicated(const model::Document& doc,
              ack.target.epoch == holder.epoch;
     });
   };
+  PartitionId seed = 0;
+  bool holderless = false;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
     PartitionState& state = TabletFor(key)->second;
     PruneHolders(&state);
-    if (state.holders.empty() && state.doc_count == 0) {
-      // An empty tablet that lost its holders has nothing to lose: seed it
-      // on alive nodes. One with documents stays lost (see Ingest).
-      for (NodeId node : SpareNodes(state)) {
-        if (state.holders.size() >= state.copies) break;
-        state.holders.push_back(Holder{node, data_nodes_[node]->epoch()});
-      }
-    }
+    holderless = state.holders.empty();
+    seed = state.pid;
+  }
+  if (holderless) {
+    // No valid holder: seed the tablet on alive nodes. Documents it had
+    // are lost, and stay reported missing.
+    std::lock_guard<std::mutex> repair_lock(repair_mutex_);
+    bool restored = false;
+    AddReplicasLocked(seed, /*reseed=*/true, &restored);
   }
   for (;;) {
     std::unique_lock<std::mutex> lock(ptable_mutex_);
@@ -333,7 +346,7 @@ bool SimulatedCluster::StoreReplicated(const model::Document& doc,
       ack.stored = outcome == TaskOutcome::kExecuted &&
                    partition->epoch == target.epoch;
       if (ack.stored) {
-        stats->bytes_shipped += stored.bytes.size();
+        stats->bytes_shipped += stored.size;
         stats->rows_shipped += 1;
       }
     }
@@ -371,7 +384,8 @@ Result<model::DocId> SimulatedCluster::Ingest(model::Document doc,
   if (rose) {
     std::lock_guard<std::mutex> repair_lock(repair_mutex_);
     bool restored = false;
-    const uint64_t copied = AddReplicasLocked(raised, &restored);
+    const uint64_t copied =
+        AddReplicasLocked(raised, /*reseed=*/false, &restored);
     std::lock_guard<std::mutex> lock(traffic_mutex_);
     lifetime_traffic_.bytes_shipped += copied;
   }
@@ -395,18 +409,14 @@ Result<model::Document> SimulatedCluster::Get(model::DocId id) const {
   for (const Holder& holder : holders) {
     if (!HolderStillValid(holder.node, holder.epoch)) continue;
     std::shared_ptr<Partition> partition = PartitionFor(holder.node);
-    Partition::Stored stored;
-    bool found = false;
+    std::optional<model::Document> doc;
     const TaskOutcome outcome = data_nodes_[holder.node]->Run([&] {
       auto it = partition->docs.find(id);
-      if (it != partition->docs.end()) {
-        stored = it->second;
-        found = true;
-      }
+      if (it != partition->docs.end()) doc = Partition::Decode(it->second);
     });
-    if (outcome == TaskOutcome::kExecuted && found &&
+    if (outcome == TaskOutcome::kExecuted && doc.has_value() &&
         partition->epoch == holder.epoch) {
-      return Partition::Decode(stored);
+      return std::move(*doc);
     }
   }
   return Status::NotFound("no such document on a live holder: " +
@@ -416,7 +426,9 @@ Result<model::Document> SimulatedCluster::Get(model::DocId id) const {
 size_t SimulatedCluster::num_documents() const {
   std::lock_guard<std::mutex> lock(ptable_mutex_);
   size_t total = 0;
-  for (const auto& [bound, state] : ptable_) total += state.doc_count;
+  for (const auto& [bound, state] : ptable_) {
+    total += state.doc_count + state.lost;
+  }
   return total;
 }
 
@@ -442,7 +454,11 @@ void SimulatedCluster::ScatterWithFailover(
          ++it) {
       const uint64_t from = std::max(lo, it->first);
       const uint64_t to = std::min(hi, TabletEnd(it));
-      if (const Holder* primary = Primary(it->second)) {
+      const PartitionState& state = it->second;
+      const Holder* primary = Primary(state);
+      // For availability an incomplete tablet is unreachable: the local
+      // indexes cannot tell its lost documents from its held ones.
+      if (primary != nullptr && (state.lost == 0 || unreachable == nullptr)) {
         auto slot = by_node->try_emplace(primary->node,
                                          Assignment{primary->node,
                                                     primary->epoch,
@@ -453,8 +469,8 @@ void SimulatedCluster::ScatterWithFailover(
       } else {
         // No surviving replica anywhere: this tablet's contribution is
         // unrecoverable and must be reported, not silently omitted.
-        stats->missing_partitions += it->second.doc_count;
-        if (it->second.doc_count > 0) stats->degraded = true;
+        stats->missing_partitions += state.doc_count;
+        if (state.doc_count > 0) stats->degraded = true;
         if (unreachable != nullptr) unreachable->Add(from, to);
       }
     }
@@ -463,6 +479,11 @@ void SimulatedCluster::ScatterWithFailover(
   Round round;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
+    for (const auto& [bound, state] : ptable_) {
+      // Lost documents are missing from every answer.
+      stats->missing_partitions += state.lost;
+      if (state.lost > 0) stats->degraded = true;
+    }
     assign(0, UINT64_MAX, &round);
   }
 
@@ -732,7 +753,7 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
             } else if (query.kind.empty() || doc.kind == query.kind) {
               // Ship every document of the kind (the raw scan): the grid
               // node does all filtering and aggregation.
-              partial->raw_bytes += stored.bytes.size();
+              partial->raw_bytes += stored.size;
               partial->raw_docs.push_back(std::move(doc));
             }
           }
@@ -751,28 +772,19 @@ SimulatedCluster::AggResult SimulatedCluster::FilterAggregate(
         for (const auto& [group, state] : partial.groups) {
           result.stats.bytes_shipped += group.size() + 16;
           ++result.stats.rows_shipped;
-          if (query.agg_path.empty()) {
-            result.groups[group] += static_cast<double>(state.second);
-          } else {
-            result.groups[group] += state.first;
-          }
         }
       } else {
+        // Whole documents ship, and the grid node aggregates them.
         result.stats.bytes_shipped += partial.raw_bytes;
         result.stats.rows_shipped += partial.raw_docs.size();
         for (const model::Document& doc : partial.raw_docs) {
-          if (matches(doc)) {
-            Partial merged;
-            accumulate(doc, &merged);
-            for (const auto& [group, state] : merged.groups) {
-              if (query.agg_path.empty()) {
-                result.groups[group] += static_cast<double>(state.second);
-              } else {
-                result.groups[group] += state.first;
-              }
-            }
-          }
+          if (matches(doc)) accumulate(doc, &partial);
         }
+      }
+      for (const auto& [group, state] : partial.groups) {
+        result.groups[group] += query.agg_path.empty()
+                                    ? static_cast<double>(state.second)
+                                    : state.first;
       }
     }
     result.stats.grid_task_micros = NowMicros() - gather_start;
@@ -855,21 +867,20 @@ size_t SimulatedCluster::RunAnnotationPass(const discovery::Annotator& annotator
 
 SimulatedCluster::AutoAggResult SimulatedCluster::FilterAggregateAuto(
     const AggQuery& query) {
+  // Mean queue depth over a pool's alive nodes.
+  auto depth = [](const std::vector<std::unique_ptr<Node>>& pool) {
+    double total = 0;
+    size_t alive = 0;
+    for (const auto& node : pool) {
+      if (!node->alive()) continue;
+      total += static_cast<double>(node->queue_depth());
+      ++alive;
+    }
+    return alive == 0 ? 0.0 : total / static_cast<double>(alive);
+  };
   Scheduler::LoadSnapshot load;
-  size_t alive_data = 0;
-  for (const auto& node : data_nodes_) {
-    if (!node->alive()) continue;
-    load.data_queue_depth += static_cast<double>(node->queue_depth());
-    ++alive_data;
-  }
-  if (alive_data > 0) load.data_queue_depth /= alive_data;
-  size_t alive_grid = 0;
-  for (const auto& node : grid_nodes_) {
-    if (!node->alive()) continue;
-    load.grid_queue_depth += static_cast<double>(node->queue_depth());
-    ++alive_grid;
-  }
-  if (alive_grid > 0) load.grid_queue_depth /= alive_grid;
+  load.data_queue_depth = depth(data_nodes_);
+  load.grid_queue_depth = depth(grid_nodes_);
 
   AutoAggResult out;
   out.decision =
@@ -1045,17 +1056,24 @@ std::vector<NodeId> SimulatedCluster::DetectFailures() {
   return newly_dead;
 }
 
+std::vector<model::DocId> SimulatedCluster::IdsInRange(
+    const Partition& partition, uint64_t lo, uint64_t hi) const {
+  std::vector<model::DocId> ids;
+  for (const auto& [id, stored] : partition.docs) {
+    const uint64_t key = RouteKey(id);
+    if (key >= lo && key <= hi) ids.push_back(id);
+  }
+  return ids;
+}
+
 bool SimulatedCluster::CopyRange(const Holder& from, NodeId to, uint64_t lo,
                                  uint64_t hi, uint64_t* epoch_to,
-                                 uint64_t* bytes,
-                                 std::vector<model::DocId>* ids) {
-  const bool raw_ids = options_.key_range_partitioning;
+                                 uint64_t* bytes, size_t* docs) {
   std::shared_ptr<Partition> source = PartitionFor(from.node);
   std::vector<std::pair<model::DocId, Partition::Stored>> batch;
   const TaskOutcome read = data_nodes_[from.node]->Run([&] {
-    for (const auto& [id, stored] : source->docs) {
-      const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
-      if (key >= lo && key <= hi) batch.emplace_back(id, stored);
+    for (model::DocId id : IdsInRange(*source, lo, hi)) {
+      batch.emplace_back(id, source->docs.at(id));
     }
   });
   // Only the incarnation that holds the tablet has its documents.
@@ -1063,16 +1081,13 @@ bool SimulatedCluster::CopyRange(const Holder& from, NodeId to, uint64_t lo,
     return false;
   }
   *bytes = 0;
-  if (ids != nullptr) ids->clear();
-  for (const auto& [id, stored] : batch) {
-    *bytes += stored.bytes.size();
-    if (ids != nullptr) ids->push_back(id);
-  }
+  for (const auto& [id, stored] : batch) *bytes += stored.size;
+  *docs = batch.size();
   std::shared_ptr<Partition> target = PartitionFor(to);
   const TaskOutcome write = data_nodes_[to]->Run([&] {
     for (auto& [id, stored] : batch) {
-      // A joining node may already have a newer version, written to it
-      // after the source was read.
+      // A joining node may already have this version or a newer one,
+      // written to it after it joined.
       auto it = target->docs.find(id);
       if (it != target->docs.end() && it->second.version >= stored.version) {
         continue;
@@ -1085,7 +1100,19 @@ bool SimulatedCluster::CopyRange(const Holder& from, NodeId to, uint64_t lo,
   return write == TaskOutcome::kExecuted;
 }
 
-uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool* restored) {
+bool SimulatedCluster::PurgeRange(const Holder& node, uint64_t lo,
+                                  uint64_t hi) {
+  std::shared_ptr<Partition> partition = PartitionFor(node.node);
+  const TaskOutcome outcome = data_nodes_[node.node]->Run([&] {
+    for (model::DocId id : IdsInRange(*partition, lo, hi)) {
+      partition->Erase(id);
+    }
+  });
+  return outcome == TaskOutcome::kExecuted && partition->epoch == node.epoch;
+}
+
+uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool reseed,
+                                             bool* restored) {
   uint64_t copied = 0;
   std::set<NodeId> tried;
   for (;;) {
@@ -1102,6 +1129,11 @@ uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool* restored) {
       PruneHolders(&state);
       *restored = state.holders.size() >= state.copies;
       if (*restored) return copied;
+      // A tablet with documents but no valid holder is lost: nothing to
+      // copy from, and only a write re-seeds it.
+      if (state.holders.empty() && state.doc_count > 0 && !reseed) {
+        return copied;
+      }
       bool found = false;
       for (NodeId node : SpareNodes(state)) {
         if (tried.insert(node).second) {
@@ -1111,10 +1143,23 @@ uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool* restored) {
         }
       }
       if (!found) return copied;
+      lo = it->first;
+      hi = TabletEnd(it);
+    }
+    // The range is stable (move_mutex_ is held shared) and the joiner gets
+    // no write of it until it joins: after the purge, everything it holds
+    // there came from the copy or from writes made while it joins.
+    if (!PurgeRange(joiner, lo, hi)) continue;
+    {
+      std::lock_guard<std::mutex> lock(ptable_mutex_);
+      PartitionState& state = FindTablet(pid)->second;
+      PruneHolders(&state);
+      if (!HolderStillValid(joiner.node, joiner.epoch)) continue;
       if (state.holders.empty()) {
-        // A tablet with documents but no valid holder is lost: nothing to
-        // copy from. An empty one takes new holders as they are.
-        if (state.doc_count > 0) return copied;
+        // Nothing to copy from: the first new holder starts the tablet
+        // afresh, and whatever it had is lost.
+        state.lost += state.doc_count;
+        state.doc_count = 0;
         state.holders.push_back(joiner);
         continue;
       }
@@ -1122,20 +1167,16 @@ uint64_t SimulatedCluster::AddReplicasLocked(PartitionId pid, bool* restored) {
       // the joiner, so the copy plus those writes is the whole tablet.
       state.joining.push_back(joiner);
       source = state.holders.front();
-      lo = it->first;
-      hi = TabletEnd(it);
     }
     uint64_t epoch_to = 0;
     uint64_t bytes = 0;
+    size_t docs = 0;
     const bool done =
-        CopyRange(source, joiner.node, lo, hi, &epoch_to, &bytes, nullptr);
+        CopyRange(source, joiner.node, lo, hi, &epoch_to, &bytes, &docs);
     if (done) copied += bytes;
     std::lock_guard<std::mutex> lock(ptable_mutex_);
     PartitionState& state = FindTablet(pid)->second;
-    auto it = std::find_if(state.joining.begin(), state.joining.end(),
-                           [&](const Holder& holder) {
-                             return holder.node == joiner.node;
-                           });
+    auto it = FindNode(&state.joining, joiner.node);
     // Promoted only if it is still joining (a write it missed drops it),
     // took the copy, and has not died (losing it) since.
     if (it == state.joining.end()) continue;
@@ -1167,7 +1208,7 @@ SimulatedCluster::ReReplicateReport SimulatedCluster::ReReplicate() {
   }
   for (PartitionId pid : short_tablets) {
     bool restored = false;
-    report.bytes_copied += AddReplicasLocked(pid, &restored);
+    report.bytes_copied += AddReplicasLocked(pid, /*reseed=*/false, &restored);
     if (!restored) {
       std::lock_guard<std::mutex> lock(ptable_mutex_);
       auto it = FindTablet(pid);
@@ -1231,7 +1272,12 @@ bool SimulatedCluster::SplitPartition(PartitionId pid) {
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
     auto it = FindTablet(pid);
-    if (it == ptable_.end() || it->second.doc_count < 2) return false;
+    // An incomplete tablet cannot say which child its lost documents
+    // belonged to.
+    if (it == ptable_.end() || it->second.doc_count < 2 ||
+        it->second.lost > 0) {
+      return false;
+    }
     const Holder* primary = Primary(it->second);
     if (primary == nullptr) return false;
     probe = *primary;
@@ -1241,13 +1287,11 @@ bool SimulatedCluster::SplitPartition(PartitionId pid) {
   // The split point is the MEDIAN routed key, not the range midpoint —
   // under sequential-key skew every document sits in a sliver of the range
   // and midpoint splits would never separate them.
-  const bool raw_ids = options_.key_range_partitioning;
   std::shared_ptr<Partition> partition = PartitionFor(probe.node);
   std::vector<uint64_t> keys;
   const TaskOutcome outcome = data_nodes_[probe.node]->Run([&] {
-    for (const auto& [id, stored] : partition->docs) {
-      const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
-      if (key >= lo && key <= hi) keys.push_back(key);
+    for (model::DocId id : IdsInRange(*partition, lo, hi)) {
+      keys.push_back(RouteKey(id));
     }
   });
   if (outcome != TaskOutcome::kExecuted || partition->epoch != probe.epoch ||
@@ -1317,6 +1361,7 @@ bool SimulatedCluster::MergeWithRightNeighbor(PartitionId pid) {
   }
   left.copies = std::max(left.copies, absorbed.copies);
   left.doc_count += absorbed.doc_count;
+  left.lost += absorbed.lost;
   left.traffic += absorbed.traffic;
   left.epoch += 1;
   ptable_.erase(right);
@@ -1342,24 +1387,22 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     if (it == ptable_.end()) return 0;
     PartitionState& state = it->second;
     PruneHolders(&state);
-    auto listed = [&state](NodeId node) {
-      return std::find_if(state.holders.begin(), state.holders.end(),
-                          [node](const Holder& holder) {
-                            return holder.node == node;
-                          });
-    };
-    if (listed(from) == state.holders.end() ||
-        listed(to) != state.holders.end()) {
+    auto listed = FindNode(&state.holders, from);
+    if (listed == state.holders.end() ||
+        FindNode(&state.holders, to) != state.holders.end()) {
       return 0;
     }
-    source = *listed(from);
+    source = *listed;
     lo = it->first;
     hi = TabletEnd(it);
   }
+  // `to` may still hold bytes of the range from before a missed store
+  // dropped it as a holder.
+  if (!PurgeRange(Holder{to, data_nodes_[to]->epoch()}, lo, hi)) return 0;
   uint64_t epoch_to = 0;
   uint64_t bytes = 0;
-  std::vector<model::DocId> ids;
-  if (!CopyRange(source, to, lo, hi, &epoch_to, &bytes, &ids)) return 0;
+  size_t docs = 0;
+  if (!CopyRange(source, to, lo, hi, &epoch_to, &bytes, &docs)) return 0;
   {
     std::lock_guard<std::mutex> lock(ptable_mutex_);
     // A target that died between copy and commit is not recorded; its
@@ -1368,9 +1411,7 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
     PartitionState& state = FindTablet(pid)->second;
     // The new home takes the old one's slot, and with it primary-ness. The
     // source entry is gone only if it died during the copy.
-    auto slot = std::find_if(
-        state.holders.begin(), state.holders.end(),
-        [from](const Holder& holder) { return holder.node == from; });
+    auto slot = FindNode(&state.holders, from);
     if (slot != state.holders.end()) {
       *slot = Holder{to, epoch_to};
     } else {
@@ -1382,19 +1423,14 @@ size_t SimulatedCluster::MovePartitionReplica(PartitionId pid, NodeId from,
   // the swap: an in-flight scatter task there either ran before the swap
   // (bytes still there) or finds that the node no longer holds the tablet
   // and hands it back for re-routing to the new home.
-  std::shared_ptr<Partition> partition = PartitionFor(from);
-  if (partition->epoch == source.epoch) {
-    data_nodes_[from]->Run([&] {
-      for (model::DocId id : ids) partition->Erase(id);
-    });
-  }
-  if (!ids.empty()) {
+  PurgeRange(source, lo, hi);
+  if (docs > 0) {
     Metrics().moves->Increment();
-    Metrics().docs_moved->Increment(ids.size());
+    Metrics().docs_moved->Increment(docs);
     std::lock_guard<std::mutex> lock(traffic_mutex_);
     lifetime_traffic_.bytes_shipped += bytes;
   }
-  return ids.size();
+  return docs;
 }
 
 SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
@@ -1457,7 +1493,10 @@ SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
         Served& row = served.emplace_back(
             Served{state.pid, primary->node, state.doc_count, {}});
         for (const Holder& holder : state.holders) {
-          row.holders.insert(holder.node);
+          // A stale entry holds nothing: promoting it would not move load.
+          if (HolderStillValid(holder.node, holder.epoch)) {
+            row.holders.insert(holder.node);
+          }
         }
       }
     }
@@ -1492,15 +1531,12 @@ SimulatedCluster::RebalanceReport SimulatedCluster::RebalanceOnce() {
       std::lock_guard<std::mutex> lock(ptable_mutex_);
       auto it = FindTablet(best->pid);
       if (it == ptable_.end()) break;
-      std::vector<Holder>& holders = it->second.holders;
-      auto at = [&holders](NodeId node) {
-        return std::find_if(holders.begin(), holders.end(),
-                            [node](const Holder& h) { return h.node == node; });
-      };
-      if (at(choice.hot) == holders.end() || at(choice.cold) == holders.end()) {
-        break;
-      }
-      std::iter_swap(at(choice.hot), at(choice.cold));
+      PruneHolders(&it->second);
+      std::vector<Holder>* holders = &it->second.holders;
+      auto hot = FindNode(holders, choice.hot);
+      auto cold = FindNode(holders, choice.cold);
+      if (hot == holders->end() || cold == holders->end()) break;
+      std::iter_swap(hot, cold);
       it->second.epoch += 1;
     } else {
       docs_moved = MovePartitionReplica(best->pid, choice.hot, choice.cold);
@@ -1589,19 +1625,12 @@ SimulatedCluster::IntegrityReport SimulatedCluster::CheckIntegrity() const {
   // One probe per node on its own mailbox, counting its documents per held
   // tablet. A node that dies during its probe has invalidated its holders,
   // so its result is discarded.
-  const bool raw_ids = options_.key_range_partitioning;
   for (const auto& [node, held] : listed) {
     std::shared_ptr<Partition> partition = PartitionFor(node);
-    std::vector<uint64_t> found(held.tablets.size(), 0);
+    std::vector<uint64_t> found;
     const TaskOutcome outcome = data_nodes_[node]->Run([&] {
-      for (const auto& [id, stored] : partition->docs) {
-        const uint64_t key = KeyRanges::RouteKey(raw_ids, id);
-        auto it = std::upper_bound(
-            held.tablets.begin(), held.tablets.end(), key,
-            [](uint64_t k, const auto& tablet) { return k < std::get<0>(tablet); });
-        if (it == held.tablets.begin()) continue;
-        --it;
-        if (key <= std::get<1>(*it)) ++found[it - held.tablets.begin()];
+      for (const auto& [lo, hi, count] : held.tablets) {
+        found.push_back(IdsInRange(*partition, lo, hi).size());
       }
     });
     if (outcome != TaskOutcome::kExecuted || partition->epoch != held.epoch ||

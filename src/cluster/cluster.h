@@ -1,6 +1,7 @@
 #ifndef IMPLIANCE_CLUSTER_CLUSTER_H_
 #define IMPLIANCE_CLUSTER_CLUSTER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
@@ -152,14 +153,16 @@ class SimulatedCluster {
   // and returns its id (a pre-set nonzero doc.id is honored, so a fronting
   // store can mirror documents under its own ids). `copies` (0 = the
   // cluster default; the storage manager's per-class lever, Section 3.4)
-  // is a minimum: it raises the tablet's copy count for good. Fails when
-  // the tablet has documents but no valid holder: its data is lost.
+  // is a minimum: it raises the tablet's copy count for good. A tablet
+  // whose documents lost every holder takes new holders on alive nodes:
+  // the write succeeds, and the lost documents stay reported missing (see
+  // PartitionState::lost). Fails when no holder acknowledged the store.
   Result<model::DocId> Ingest(model::Document doc, size_t copies = 0);
 
   // Routes `id` to its tablet and reads it from the first valid holder.
   Result<model::Document> Get(model::DocId id) const;
 
-  // Sum of the tablets' exact document counts.
+  // Sum of the tablets' exact document counts, lost documents included.
   size_t num_documents() const;
 
   // -------------------------------------------------------------- Query
@@ -379,9 +382,19 @@ class SimulatedCluster {
   // still running against the old incarnation must keep its (doomed,
   // epoch-checked) object alive.
   struct Partition {
+    // One document as Document::Encode bytes, in one exact-size buffer.
     struct Stored {
+      Stored() = default;
+      Stored(uint32_t version, std::string_view bytes);
+      Stored(const Stored& other) : Stored(other.version, other.bytes()) {}
+      Stored(Stored&&) = default;
+      Stored& operator=(Stored&&) = default;
+
+      std::string_view bytes() const { return {data.get(), size}; }
+
       uint32_t version = 0;
-      std::string bytes;  // Document::Encode
+      uint32_t size = 0;
+      std::unique_ptr<char[]> data;
     };
     explicit Partition(uint64_t incarnation) : epoch(incarnation) {}
     // Upsert: drops stale index postings first so re-stores stay
@@ -420,7 +433,12 @@ class SimulatedCluster {
     // from the moment they join, so the copy plus those writes is the whole
     // tablet when the repair promotes them to holders.
     std::vector<Holder> joining;
-    uint64_t doc_count = 0;        // exact count of routed documents
+    uint64_t doc_count = 0;        // exact count of held documents
+    // Documents that lost every holder before a write gave the tablet new
+    // ones: gone for good. While nonzero the tablet is served incomplete
+    // (reported degraded), and facet/SQL availability treats it as
+    // unreachable, since the local indexes still list the lost documents.
+    uint64_t lost = 0;
     uint64_t traffic = 0;          // point ops since last decay
   };
   using Table = std::map<uint64_t, PartitionState>;
@@ -467,6 +485,14 @@ class SimulatedCluster {
   size_t ValidHolders(const PartitionState& state) const;
   // Drops dead and stale holders of one tablet.
   void PruneHolders(PartitionState* state) const;
+  // The entry of `node` in a holder or joining list, or list->end().
+  template <typename List>
+  static auto FindNode(List* list, NodeId node) {
+    return std::find_if(list->begin(), list->end(),
+                        [node](const Holder& holder) {
+                          return holder.node == node;
+                        });
+  }
   // Encodes `doc` once and stores the bytes on the valid holders and
   // joining nodes of its tablet — including any that join while it runs —
   // and counts it on the tablet when new. The single write path of Ingest,
@@ -474,21 +500,33 @@ class SimulatedCluster {
   // acknowledged the store.
   bool StoreReplicated(const model::Document& doc, ShipStats* stats);
   // Adds holders to tablet `pid` until it has its copy count: each new one
-  // joins (receiving writes), gets a copy of the tablet from a valid
-  // holder, and is promoted if it is still alive in the same incarnation.
-  // Caller holds move_mutex_ shared and repair_mutex_. Returns bytes
-  // copied; `*restored` says whether the tablet reached its copy count.
-  uint64_t AddReplicasLocked(PartitionId pid, bool* restored);
+  // is purged of the tablet's range (PurgeRange), joins (receiving writes),
+  // gets a copy of the tablet from a valid holder, and is promoted if it is
+  // still alive in the same incarnation. A tablet with no valid holder
+  // takes its first new holder as it is if empty, or, with `reseed`, even
+  // with documents, which then count as lost. Caller holds move_mutex_
+  // shared and repair_mutex_. Returns bytes copied; `*restored` says
+  // whether the tablet reached its copy count.
+  uint64_t AddReplicasLocked(PartitionId pid, bool reseed, bool* restored);
   // Alive nodes not listed as holders of `state`, in ring order after its
   // primary: where the tablet's next copy goes.
   std::vector<NodeId> SpareNodes(const PartitionState& state) const;
   // Copies every document routed to [lo, hi] from holder `from` to node
-  // `to`, keeping any newer version `to` already has. Returns false unless
-  // both tasks ran on the expected incarnations; `epoch_to` receives the
-  // incarnation the copy went into, `bytes` its size, `ids` the ids copied.
+  // `to`, keeping any version at least as new that `to` already has — sound
+  // because `to` was purged of the range before it joined, so all it holds
+  // there came from writes made since. Returns false unless both tasks ran
+  // on the expected incarnations; `epoch_to` receives the incarnation the
+  // copy went into, `bytes` its size, `docs` the documents copied.
   bool CopyRange(const Holder& from, NodeId to, uint64_t lo, uint64_t hi,
-                 uint64_t* epoch_to, uint64_t* bytes,
-                 std::vector<model::DocId>* ids);
+                 uint64_t* epoch_to, uint64_t* bytes, size_t* docs);
+  // Documents of `partition` routed to [lo, hi]. Run on its node's mailbox.
+  std::vector<model::DocId> IdsInRange(const Partition& partition,
+                                       uint64_t lo, uint64_t hi) const;
+  // Erases every document routed to [lo, hi] from `node`, on its mailbox.
+  // Clears what a node still holds of a tablet it is about to take (bytes
+  // left behind when a missed store dropped it as a holder) and a
+  // migration's source copy. True if it ran on incarnation `node.epoch`.
+  bool PurgeRange(const Holder& node, uint64_t lo, uint64_t hi);
   // Policy-counter maintenance (takes ptable_mutex_ internally).
   void BumpPartitionTraffic(model::DocId id) const;
   // True while `node` is alive in the same incarnation: bytes stored at

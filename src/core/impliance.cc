@@ -49,13 +49,8 @@ class Impliance::DocumentTable : public query::Table {
   const exec::Schema& schema() const override { return schema_; }
 
   std::vector<exec::Row> ScanAll() const override {
-    std::vector<exec::Row> rows;
-    for (model::DocId id : owner_->paths_.DocsOfKind(kind_)) {
-      if (!Servable(id)) continue;
-      Result<model::Document> doc = owner_->store_->Get(id);
-      if (doc.ok()) rows.push_back(model::DocumentToRow(view_, *doc));
-    }
-    return rows;
+    exec::BatchSourcePtr source = ScanBatches({});
+    return exec::DrainBatchSource(source.get());
   }
 
   bool HasIndexOn(int column) const override { return true; }
@@ -122,7 +117,7 @@ class Impliance::DocumentTable : public query::Table {
   }
 
   size_t RowCount() const override {
-    return owner_->paths_.DocsOfKind(kind_).size();
+    return owner_->paths_.NumDocsOfKind(kind_);
   }
 
   // The store epoch is appliance-wide, so any ingest "moves" every view;
@@ -135,14 +130,14 @@ class Impliance::DocumentTable : public query::Table {
 
  private:
   std::vector<exec::Row> RowsFor(const std::vector<model::DocId>& ids) const {
-    // Value-index hits may include other kinds sharing the path; restrict.
-    std::vector<model::DocId> of_kind = owner_->paths_.DocsOfKind(kind_);
     std::vector<exec::Row> rows;
     for (model::DocId id : ids) {
-      if (!std::binary_search(of_kind.begin(), of_kind.end(), id)) continue;
       if (!Servable(id)) continue;
       Result<model::Document> doc = owner_->store_->Get(id);
-      if (doc.ok()) rows.push_back(model::DocumentToRow(view_, *doc));
+      // Value-index hits may include other kinds sharing the path.
+      if (doc.ok() && doc->kind == kind_) {
+        rows.push_back(model::DocumentToRow(view_, *doc));
+      }
     }
     return rows;
   }
@@ -214,7 +209,7 @@ class Impliance::ClassTable : public query::Table {
   size_t RowCount() const override {
     size_t count = 0;
     for (const std::string& kind : class_.kinds) {
-      count += owner_->paths_.DocsOfKind(kind).size();
+      count += owner_->paths_.NumDocsOfKind(kind);
     }
     return count;
   }
@@ -340,7 +335,6 @@ Status Impliance::IndexDocumentLocked(const model::Document& doc) {
   text_index_.AddDocument(doc);
   paths_.AddDocument(doc);
   values_.AddDocument(doc);
-  facets_.AddDocument(doc);
   for (const model::DocRef& ref : doc.refs) {
     joins_.AddEdge(doc.id, ref.target, ref.relation);
   }
@@ -353,7 +347,6 @@ Status Impliance::DeindexDocumentLocked(const model::Document& doc) {
   text_index_.RemoveDocument(doc);
   paths_.RemoveDocument(doc);
   values_.RemoveDocument(doc);
-  facets_.RemoveDocument(doc);
   std::lock_guard<std::mutex> lock(view_mutex_);
   dirty_kinds_.insert(doc.kind);
   return Status::OK();
@@ -512,7 +505,7 @@ query::FacetedResult Impliance::Faceted(const query::FacetedQuery& faceted_query
     }
   }
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  query::FacetedSearch search(&text_index_.global(), &paths_, &facets_,
+  query::FacetedSearch search(&text_index_.global(), &paths_, &values_,
                               &values_);
   // Facet counts / range buckets / aggregates fan out like a SQL segment:
   // DOP capped by the scheduler's view of free workers.
@@ -562,10 +555,9 @@ model::ViewDef Impliance::ViewForLocked(const std::string& kind) const {
   // Infer from up to 32 sample documents of the kind.
   std::vector<model::Document> sample_docs;
   std::vector<const model::Document*> sample;
-  for (model::DocId id : paths_.DocsOfKind(kind)) {
+  for (model::DocId id : paths_.DocsOfKind(kind, 32)) {
     Result<model::Document> doc = store_->Get(id);
     if (doc.ok()) sample_docs.push_back(std::move(doc).value());
-    if (sample_docs.size() >= 32) break;
   }
   for (const model::Document& doc : sample_docs) sample.push_back(&doc);
   model::ViewDef view = model::InferView(kind, kind, sample);
@@ -913,8 +905,9 @@ std::vector<std::string> Impliance::Kinds() const {
 
 Result<model::ViewDef> Impliance::ViewFor(const std::string& kind) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<model::DocId> docs = paths_.DocsOfKind(kind);
-  if (docs.empty()) return Status::NotFound("no documents of kind " + kind);
+  if (paths_.NumDocsOfKind(kind) == 0) {
+    return Status::NotFound("no documents of kind " + kind);
+  }
   return ViewForLocked(kind);
 }
 

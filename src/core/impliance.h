@@ -16,7 +16,6 @@
 #include "discovery/annotator.h"
 #include "discovery/dictionary_annotator.h"
 #include "discovery/schema_mapper.h"
-#include "index/facet_index.h"
 #include "index/fielded_index.h"
 #include "index/inverted_index.h"
 #include "index/join_index.h"
@@ -285,7 +284,6 @@ class Impliance {
   index::FieldedTextIndex text_index_;
   index::PathIndex paths_;
   index::ValueIndex values_;
-  index::FacetIndex facets_;
   index::JoinIndex joins_;
 
   std::vector<std::unique_ptr<discovery::Annotator>> annotators_;

@@ -10,6 +10,7 @@ namespace {
 // Max entries per node; split at overflow. Small enough to exercise deep
 // trees in tests, large enough to be cache-friendly.
 constexpr size_t kMaxEntries = 32;
+constexpr size_t kLeafGrowth = 8;
 }  // namespace
 
 struct BPlusTree::Node {
@@ -58,6 +59,13 @@ std::optional<BPlusTree::Split> BPlusTree::InsertInto(Node* node,
   if (node->is_leaf) {
     auto it = std::upper_bound(node->entries.begin(), node->entries.end(),
                                entry, EntryLess);
+    if (node->entries.size() == node->entries.capacity()) {
+      // Grow by a few entries, not by doubling: most leaves never fill,
+      // and doubling would leave a third of every leaf unused.
+      const size_t at = static_cast<size_t>(it - node->entries.begin());
+      node->entries.reserve(node->entries.size() + kLeafGrowth);
+      it = node->entries.begin() + static_cast<ptrdiff_t>(at);
+    }
     node->entries.insert(it, std::move(entry));
     if (node->entries.size() <= kMaxEntries) return std::nullopt;
 
@@ -68,6 +76,10 @@ std::optional<BPlusTree::Split> BPlusTree::InsertInto(Node* node,
     right->entries.assign(std::make_move_iterator(node->entries.begin() + mid),
                           std::make_move_iterator(node->entries.end()));
     node->entries.resize(mid);
+    // The vector doubled on the insert that overflowed it; left at that
+    // capacity, a node that takes no more inserts (every node but the last
+    // under ascending keys) would waste three quarters of it for good.
+    node->entries.shrink_to_fit();
     right->next = node->next;
     node->next = right.get();
     Split split{right->entries.front(), std::move(right)};
@@ -101,6 +113,8 @@ std::optional<BPlusTree::Split> BPlusTree::InsertInto(Node* node,
       std::make_move_iterator(node->children.end()));
   node->entries.resize(mid);
   node->children.resize(mid + 1);
+  node->entries.shrink_to_fit();
+  node->children.shrink_to_fit();
   Split split{std::move(up), std::move(right)};
   return split;
 }

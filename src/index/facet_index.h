@@ -1,58 +1,15 @@
 #ifndef IMPLIANCE_INDEX_FACET_INDEX_H_
 #define IMPLIANCE_INDEX_FACET_INDEX_H_
 
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "model/document.h"
-#include "model/value.h"
+#include "index/value_index.h"
 
 namespace impliance::index {
 
-// Facet counting structure for the guided-search interface (Section 3.2.1):
-// per path, per distinct value, the sorted list of documents carrying it.
-// Drill-down restricts a candidate set by a facet value; counting produces
-// the navigational links shown next to search results.
-//
-// Not internally synchronized.
-class FacetIndex {
- public:
-  struct FacetCount {
-    model::Value value;
-    size_t count = 0;
-  };
-
-  void AddDocument(const model::Document& doc);
-  void RemoveDocument(const model::Document& doc);
-
-  // Value distribution of `path` over `candidates` (sorted doc ids),
-  // descending by count then ascending by value. At most `max_values`.
-  std::vector<FacetCount> CountFacet(std::string_view path,
-                                     const std::vector<model::DocId>& candidates,
-                                     size_t max_values) const;
-
-  // Value distribution of `path` over the whole corpus.
-  std::vector<FacetCount> CountFacetAll(std::string_view path,
-                                        size_t max_values) const;
-
-  // Members of `candidates` whose `path` equals `value` (drill-down).
-  std::vector<model::DocId> Restrict(std::string_view path,
-                                     const model::Value& value,
-                                     const std::vector<model::DocId>&
-                                         candidates) const;
-
-  // All documents with `path` == `value`, ascending.
-  std::vector<model::DocId> DocsWithValue(std::string_view path,
-                                          const model::Value& value) const;
-
- private:
-  // path -> value -> sorted doc ids.
-  std::map<std::string, std::map<model::Value, std::vector<model::DocId>>,
-           std::less<>>
-      facets_;
-};
+// Facet counting for the guided-search interface (Section 3.2.1) runs on
+// the value index: its per-path B+-tree already holds every (value, doc)
+// pair in value order, so one value's documents are one contiguous,
+// ascending run. No second per-value structure is kept.
+using FacetIndex = ValueIndex;
 
 }  // namespace impliance::index
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -255,8 +256,29 @@ obs::Counter* BlocksSkippedCounter() {
 
 // ------------------------------------------------------------ maintenance
 
+InvertedIndex::DocEntry::DocEntry(uint32_t length,
+                                  const std::vector<TermId>& terms)
+    : length_(length), num_terms_(static_cast<uint32_t>(terms.size())) {
+  if (!inline_terms()) heap_ = new TermId[num_terms_];
+  std::copy(terms.begin(), terms.end(), inline_terms() ? inline_ : heap_);
+}
+
+InvertedIndex::DocEntry::~DocEntry() {
+  if (!inline_terms()) delete[] heap_;
+}
+
+InvertedIndex::DocEntry::DocEntry(DocEntry&& other) noexcept
+    : length_(other.length_), num_terms_(other.num_terms_) {
+  if (inline_terms()) {
+    std::copy(other.inline_, other.inline_ + num_terms_, inline_);
+  } else {
+    heap_ = other.heap_;
+    other.num_terms_ = 0;  // the heap array is ours now
+  }
+}
+
 void InvertedIndex::AddDocument(model::DocId id, std::string_view text) {
-  IMPLIANCE_CHECK(doc_terms_.find(id) == doc_terms_.end())
+  IMPLIANCE_CHECK(docs_.find(id) == docs_.end())
       << "document " << id << " already indexed";
 
   // Group positions per interned term; one posting per distinct term.
@@ -265,13 +287,14 @@ void InvertedIndex::AddDocument(model::DocId id, std::string_view text) {
   ForEachToken(text, [&](std::string_view token) {
     term_positions[InternTerm(token)].push_back(pos++);
   });
-  doc_lengths_[id] = pos;
   total_tokens_ += pos;
 
-  std::vector<TermId>& forward = doc_terms_[id];
+  std::vector<TermId> forward;
   forward.reserve(term_positions.size());
+  for (const auto& [tid, positions] : term_positions) forward.push_back(tid);
+  docs_.emplace(std::piecewise_construct, std::forward_as_tuple(id),
+                std::forward_as_tuple(pos, forward));
   for (const auto& [tid, positions] : term_positions) {
-    forward.push_back(tid);
     InsertPosting(tid, id, positions, pos);
     ++num_postings_;
   }
@@ -279,12 +302,12 @@ void InvertedIndex::AddDocument(model::DocId id, std::string_view text) {
 }
 
 void InvertedIndex::RemoveDocument(model::DocId id) {
-  auto fwd_it = doc_terms_.find(id);
-  if (fwd_it == doc_terms_.end()) return;
-  const std::vector<TermId> tids = std::move(fwd_it->second);
-  doc_terms_.erase(fwd_it);
-  total_tokens_ -= doc_lengths_.at(id);
-  doc_lengths_.erase(id);
+  auto fwd_it = docs_.find(id);
+  if (fwd_it == docs_.end()) return;
+  const std::vector<TermId> tids(fwd_it->second.begin(),
+                                 fwd_it->second.end());
+  total_tokens_ -= fwd_it->second.length();
+  docs_.erase(fwd_it);
   for (TermId tid : tids) {
     RemovePosting(tid, id);
     --num_postings_;
@@ -292,18 +315,40 @@ void InvertedIndex::RemoveDocument(model::DocId id) {
   RefreshDirtyTerms();
 }
 
+size_t InvertedIndex::TermSlot(std::string_view term) const {
+  const size_t mask = term_slots_.size() - 1;
+  size_t slot = std::hash<std::string_view>{}(term) & mask;
+  while (term_slots_[slot] != kNoTerm && TermText(term_slots_[slot]) != term) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void InvertedIndex::GrowTermSlots() {
+  std::vector<TermId> old =
+      std::exchange(term_slots_, std::vector<TermId>(
+                                     std::max<size_t>(16, term_slots_.size() * 2),
+                                     kNoTerm));
+  for (TermId tid : old) {
+    if (tid != kNoTerm) term_slots_[TermSlot(TermText(tid))] = tid;
+  }
+}
+
 TermId InvertedIndex::InternTerm(std::string_view term) {
-  auto it = term_ids_.find(term);
-  if (it != term_ids_.end()) return it->second;
+  if ((terms_.size() + 1) * 4 > term_slots_.size() * 3) GrowTermSlots();
+  const size_t slot = TermSlot(term);
+  if (term_slots_[slot] != kNoTerm) return term_slots_[slot];
   const TermId tid = static_cast<TermId>(terms_.size());
-  term_ids_.emplace(std::string(term), tid);
+  term_chars_.append(term);
+  term_offsets_.push_back(static_cast<uint32_t>(term_chars_.size()));
+  term_slots_[slot] = tid;
   terms_.emplace_back();
   return tid;
 }
 
 TermId InvertedIndex::FindTerm(std::string_view term) const {
-  auto it = term_ids_.find(term);
-  return it == term_ids_.end() ? kNoTerm : it->second;
+  if (term_slots_.empty()) return kNoTerm;
+  return term_slots_[TermSlot(term)];
 }
 
 void InvertedIndex::InsertPosting(TermId tid, model::DocId doc,
@@ -409,7 +454,7 @@ void InvertedIndex::RefreshDirtyTerms() {
       uint32_t min_len = 0;
       for (size_t i = 0; i < dec.docs.size(); ++i) {
         max_tf = std::max(max_tf, dec.freqs[i]);
-        const uint32_t len = doc_lengths_.at(dec.docs[i]);
+        const uint32_t len = docs_.at(dec.docs[i]).length();
         if (min_len == 0 || len < min_len) min_len = len;
       }
       block.max_tf = max_tf;
@@ -428,10 +473,9 @@ double InvertedIndex::Idf(size_t doc_freq) const {
 }
 
 double InvertedIndex::AvgDocLen() const {
-  return doc_lengths_.empty()
-             ? 1.0
-             : static_cast<double>(total_tokens_) /
-                   static_cast<double>(doc_lengths_.size());
+  return docs_.empty() ? 1.0
+                      : static_cast<double>(total_tokens_) /
+                            static_cast<double>(docs_.size());
 }
 
 std::vector<TermId> InvertedIndex::LiveQueryTerms(
@@ -564,7 +608,7 @@ std::vector<InvertedIndex::SearchResult> InvertedIndex::Search(
       }
       continue;
     }
-    const double doc_len = static_cast<double>(doc_lengths_.at(d));
+    const double doc_len = static_cast<double>(docs_.at(d).length());
     const bool full = heap.size() >= k;
 
     std::fill(contrib.begin(), contrib.end(), 0.0);
@@ -653,7 +697,8 @@ std::vector<InvertedIndex::SearchResult> InvertedIndex::SearchExhaustive(
     for (const PostingBlock& block : list.blocks) {
       IMPLIANCE_CHECK(DecodeDocsFreqs(block, &dec));
       for (size_t i = 0; i < dec.docs.size(); ++i) {
-        const double len = static_cast<double>(doc_lengths_.at(dec.docs[i]));
+        const double len =
+            static_cast<double>(docs_.at(dec.docs[i]).length());
         scores[dec.docs[i]] +=
             Bm25(static_cast<double>(dec.freqs[i]), len, idf, avg_len);
       }

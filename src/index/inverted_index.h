@@ -2,6 +2,7 @@
 #define IMPLIANCE_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -23,7 +24,10 @@ using TermId = uint32_t;
 // maintenance as annotation documents stream in, and top-k retrieval for
 // the keyword interface.
 //
-// Storage: a term dictionary interns terms to TermIds; each term owns a
+// Storage: a term dictionary interns terms to TermIds (an open-addressing
+// table of ids over one buffer of term characters, so a term that occurs
+// once — an id, a reference token — costs its bytes plus a few, not a hash
+// node holding a std::string); each term owns a
 // block-compressed posting list — fixed-size blocks (~128 postings) of
 // delta+varint doc ids, varint term frequencies, and delta+varint token
 // positions, with per-block skip metadata (last_doc, block-max BM25
@@ -63,7 +67,7 @@ class InvertedIndex {
   void RemoveDocument(model::DocId id);
 
   bool ContainsDocument(model::DocId id) const {
-    return doc_terms_.count(id) > 0;
+    return docs_.count(id) > 0;
   }
 
   // Optional accept-predicate for Search: only documents it accepts are
@@ -98,7 +102,7 @@ class InvertedIndex {
   // Documents containing `term` (single token), ascending.
   std::vector<model::DocId> DocsWithTerm(std::string_view term) const;
 
-  size_t num_documents() const { return doc_lengths_.size(); }
+  size_t num_documents() const { return docs_.size(); }
   // Terms with at least one live posting.
   size_t num_terms() const { return live_terms_; }
   uint64_t num_postings() const { return num_postings_; }
@@ -110,20 +114,36 @@ class InvertedIndex {
  private:
   struct TermPostings {
     std::vector<PostingBlock> blocks;
-    uint64_t doc_count = 0;  // live postings (== docs) in this list
+    uint32_t doc_count = 0;  // live postings (== docs) in this list
     bool queued_dirty = false;
   };
 
-  // Heterogeneous hashing so query-time lookups take string_views straight
-  // from the tokenizer's reused buffer without materializing std::strings.
-  struct TermHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-    size_t operator()(const std::string& s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
+  // One indexed document: its token count (the BM25 length) and its
+  // distinct terms (the forward index, for targeted removal). Up to two
+  // term ids are kept inline, so a short document costs one hash node.
+  class DocEntry {
+   public:
+    DocEntry(uint32_t length, const std::vector<TermId>& terms);
+    ~DocEntry();
+    DocEntry(DocEntry&& other) noexcept;
+    DocEntry& operator=(DocEntry&&) = delete;
+    DocEntry(const DocEntry&) = delete;
+    DocEntry& operator=(const DocEntry&) = delete;
+
+    uint32_t length() const { return length_; }
+    const TermId* begin() const { return inline_terms() ? inline_ : heap_; }
+    const TermId* end() const { return begin() + num_terms_; }
+
+   private:
+    static constexpr uint32_t kInline = 2;
+    bool inline_terms() const { return num_terms_ <= kInline; }
+
+    uint32_t length_;
+    uint32_t num_terms_;
+    union {
+      TermId inline_[kInline];
+      TermId* heap_;
+    };
   };
 
   double Idf(size_t doc_freq) const;
@@ -132,6 +152,14 @@ class InvertedIndex {
   TermId InternTerm(std::string_view term);
   // kNoTerm when the term was never seen.
   TermId FindTerm(std::string_view term) const;
+  std::string_view TermText(TermId tid) const {
+    return std::string_view(term_chars_)
+        .substr(term_offsets_[tid], term_offsets_[tid + 1] - term_offsets_[tid]);
+  }
+  // The dictionary slot holding `term`, or the empty slot where it belongs.
+  size_t TermSlot(std::string_view term) const;
+  // Doubles the slot table and re-inserts every term.
+  void GrowTermSlots();
 
   // Unique query terms that have live postings (unknown terms dropped —
   // disjunctive semantics).
@@ -161,12 +189,16 @@ class InvertedIndex {
 
   static constexpr TermId kNoTerm = ~TermId{0};
 
-  std::unordered_map<std::string, TermId, TermHash, std::equal_to<>>
-      term_ids_;
-  std::vector<TermPostings> terms_;  // indexed by TermId
+  // Term t's characters are term_chars_[term_offsets_[t], term_offsets_[t+1]).
+  std::string term_chars_;
+  std::vector<uint32_t> term_offsets_{0};
+  // Linear-probing table of term ids (kNoTerm = empty), a power of two in
+  // size, at most 3/4 full.
+  std::vector<TermId> term_slots_;
+  // Indexed by TermId. A deque: growing never copies the table.
+  std::deque<TermPostings> terms_;
   std::vector<TermId> dirty_terms_;  // FIFO of lists with dirty blocks
-  std::unordered_map<model::DocId, uint32_t> doc_lengths_;  // tokens per doc
-  std::unordered_map<model::DocId, std::vector<TermId>> doc_terms_;
+  std::unordered_map<model::DocId, DocEntry> docs_;
   uint64_t total_tokens_ = 0;
   uint64_t num_postings_ = 0;
   size_t live_terms_ = 0;

@@ -51,9 +51,17 @@ std::vector<model::DocId> PathIndex::DocsWithPath(std::string_view path) const {
   return it == path_docs_.end() ? std::vector<model::DocId>{} : it->second;
 }
 
-std::vector<model::DocId> PathIndex::DocsOfKind(std::string_view kind) const {
+std::vector<model::DocId> PathIndex::DocsOfKind(std::string_view kind,
+                                                size_t limit) const {
   auto it = kind_docs_.find(kind);
-  return it == kind_docs_.end() ? std::vector<model::DocId>{} : it->second;
+  if (it == kind_docs_.end()) return {};
+  const std::vector<model::DocId>& docs = it->second;
+  return {docs.begin(), docs.begin() + std::min(limit, docs.size())};
+}
+
+size_t PathIndex::NumDocsOfKind(std::string_view kind) const {
+  auto it = kind_docs_.find(kind);
+  return it == kind_docs_.end() ? 0 : it->second.size();
 }
 
 std::vector<std::string> PathIndex::PathsOfKind(std::string_view kind) const {

@@ -1,6 +1,7 @@
 #ifndef IMPLIANCE_INDEX_PATH_INDEX_H_
 #define IMPLIANCE_INDEX_PATH_INDEX_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,8 +25,10 @@ class PathIndex {
   // Documents containing at least one node at `path`, ascending.
   std::vector<model::DocId> DocsWithPath(std::string_view path) const;
 
-  // Documents of the given kind, ascending.
-  std::vector<model::DocId> DocsOfKind(std::string_view kind) const;
+  // Documents of the given kind, ascending; the first `limit` only.
+  std::vector<model::DocId> DocsOfKind(std::string_view kind,
+                                       size_t limit = SIZE_MAX) const;
+  size_t NumDocsOfKind(std::string_view kind) const;
 
   // Distinct paths under documents of `kind` (union over documents).
   std::vector<std::string> PathsOfKind(std::string_view kind) const;

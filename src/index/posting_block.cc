@@ -10,12 +10,19 @@ void AppendPosting(PostingBlock* block, model::DocId doc, uint32_t tf,
   IMPLIANCE_CHECK(block->count == 0 || doc > block->last_doc)
       << "postings must be appended in ascending doc order";
   IMPLIANCE_CHECK(tf > 0);
-  PutVarint64(&block->docs, doc - (block->count == 0 ? 0 : block->last_doc));
-  PutVarint32(&block->freqs, tf);
-  PutVarint32(&block->positions, tf);
+  std::string delta;
+  PutVarint64(&delta, doc - (block->count == 0 ? 0 : block->last_doc));
+  block->bytes.insert(block->docs_end, delta);
+  block->docs_end += static_cast<uint32_t>(delta.size());
+  block->freqs_end += static_cast<uint32_t>(delta.size());
+  std::string freq;
+  PutVarint32(&freq, tf);
+  block->bytes.insert(block->freqs_end, freq);
+  block->freqs_end += static_cast<uint32_t>(freq.size());
+  PutVarint32(&block->bytes, tf);
   uint32_t prev = 0;
   for (uint32_t i = 0; i < tf; ++i) {
-    PutVarint32(&block->positions, positions[i] - prev);
+    PutVarint32(&block->bytes, positions[i] - prev);
     prev = positions[i];
   }
   if (block->count == 0) block->first_doc = doc;
@@ -29,8 +36,8 @@ bool DecodeDocsFreqs(const PostingBlock& block, DecodedBlock* out) {
   out->freqs.clear();
   out->docs.reserve(block.count);
   out->freqs.reserve(block.count);
-  std::string_view dv(block.docs);
-  std::string_view fv(block.freqs);
+  std::string_view dv = block.docs();
+  std::string_view fv = block.freqs();
   model::DocId prev = 0;
   for (uint32_t i = 0; i < block.count; ++i) {
     uint64_t delta = 0;
@@ -46,7 +53,7 @@ bool DecodeDocsFreqs(const PostingBlock& block, DecodedBlock* out) {
 bool DecodePositions(const PostingBlock& block, DecodedBlock* out) {
   out->positions.clear();
   out->positions.resize(block.count);
-  std::string_view pv(block.positions);
+  std::string_view pv = block.positions();
   for (uint32_t i = 0; i < block.count; ++i) {
     uint32_t n = 0;
     if (!GetVarint32(&pv, &n)) return false;
@@ -67,8 +74,8 @@ bool BuildPositionOffsets(const PostingBlock& block,
                           std::vector<size_t>* offsets) {
   offsets->clear();
   offsets->reserve(block.count);
-  std::string_view pv(block.positions);
-  const char* base = block.positions.data();
+  std::string_view pv = block.positions();
+  const char* base = pv.data();
   for (uint32_t i = 0; i < block.count; ++i) {
     offsets->push_back(static_cast<size_t>(pv.data() - base));
     uint32_t n = 0;
@@ -84,8 +91,8 @@ bool BuildPositionOffsets(const PostingBlock& block,
 bool DecodePositionsAt(const PostingBlock& block, size_t byte_offset,
                        std::vector<uint32_t>* out) {
   out->clear();
-  if (byte_offset > block.positions.size()) return false;
-  std::string_view pv(block.positions);
+  std::string_view pv = block.positions();
+  if (byte_offset > pv.size()) return false;
   pv.remove_prefix(byte_offset);
   uint32_t n = 0;
   if (!GetVarint32(&pv, &n)) return false;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/document.h"
@@ -16,7 +17,10 @@ namespace impliance::index {
 // followed by delta+varint offsets per posting. Alongside the bytes each
 // block carries skip metadata — first/last doc id and the block-max
 // ingredients (max_tf, min_len) — so readers can decide whether to decode
-// or skip a whole block from the metadata alone.
+// or skip a whole block from the metadata alone. The three streams share
+// one buffer: a block of one short posting (a term only one document has,
+// like an id or a reference token) then needs no allocation beyond the
+// block itself.
 //
 // Block-max invariant: for every posting in the block, tf <= max_tf and
 // doc_len >= min_len, so BM25(max_tf, min_len) computed with the current
@@ -31,9 +35,13 @@ struct PostingBlock {
   // splits it once it exceeds this.
   static constexpr uint32_t kMaxPostings = 192;
 
-  std::string docs;       // delta+varint doc ids (first absolute)
-  std::string freqs;      // varint term frequency per posting
-  std::string positions;  // per posting: varint count, delta+varint offsets
+  // docs | freqs | positions, back to back:
+  //   docs:      delta+varint doc ids (first absolute)
+  //   freqs:     varint term frequency per posting
+  //   positions: per posting, varint count then delta+varint offsets
+  std::string bytes;
+  uint32_t docs_end = 0;   // end of docs in `bytes`
+  uint32_t freqs_end = 0;  // end of freqs in `bytes`
 
   model::DocId first_doc = 0;
   model::DocId last_doc = 0;
@@ -42,6 +50,16 @@ struct PostingBlock {
   uint32_t max_tf = 0;   // >= every tf in the block
   uint32_t min_len = 0;  // <= every posting's doc length; 0 = unknown
   bool dirty = false;    // bounds may be loose (tightened lazily)
+
+  std::string_view docs() const {
+    return std::string_view(bytes).substr(0, docs_end);
+  }
+  std::string_view freqs() const {
+    return std::string_view(bytes).substr(docs_end, freqs_end - docs_end);
+  }
+  std::string_view positions() const {
+    return std::string_view(bytes).substr(freqs_end);
+  }
 };
 
 // Struct-of-arrays view of one decoded block.
@@ -71,7 +89,7 @@ bool DecodeDocsFreqs(const PostingBlock& block, DecodedBlock* out);
 // Decodes every posting's position list into out->positions.
 bool DecodePositions(const PostingBlock& block, DecodedBlock* out);
 
-// Byte offset of each posting's entry within block.positions, so a single
+// Byte offset of each posting's entry within block.positions(), so a single
 // posting's positions can be decoded without scanning its predecessors
 // again (phrase verification decodes a few postings per block).
 bool BuildPositionOffsets(const PostingBlock& block,

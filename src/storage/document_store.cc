@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <filesystem>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/logging.h"
 
 namespace impliance::storage {
@@ -97,16 +101,17 @@ Status DocumentStore::RecoverWal() {
     uint32_t& latest = latest_version_[key.id];
     latest = std::max(latest, key.version);
     next_id_ = std::max(next_id_, doc.id + 1);
-    memtable_[key] = std::move(doc);
+    memtable_[key] = record;
   }
   return Status::OK();
 }
 
-Status DocumentStore::WriteWal(const model::Document& doc) {
+Status DocumentStore::AppendLocked(const model::Document& doc) {
   std::string encoded;
   doc.Encode(&encoded);
   IMPLIANCE_RETURN_IF_ERROR(wal_->Append(encoded));
   wal_bytes_total_ += encoded.size();
+  memtable_[VersionKey{doc.id, doc.version}] = std::move(encoded);
   return Status::OK();
 }
 
@@ -114,10 +119,9 @@ Result<model::DocId> DocumentStore::Insert(model::Document doc) {
   std::lock_guard<std::mutex> lock(mutex_);
   doc.id = next_id_++;
   doc.version = 1;
-  IMPLIANCE_RETURN_IF_ERROR(WriteWal(doc));
+  IMPLIANCE_RETURN_IF_ERROR(AppendLocked(doc));
   const model::DocId id = doc.id;
   latest_version_[id] = 1;
-  memtable_[VersionKey{id, 1}] = std::move(doc);
   change_epoch_.fetch_add(1, std::memory_order_release);
   if (memtable_.size() >= options_.memtable_max_docs) {
     IMPLIANCE_RETURN_IF_ERROR(FlushLocked());
@@ -134,10 +138,9 @@ Result<uint32_t> DocumentStore::AddVersion(model::DocId id,
   }
   doc.id = id;
   doc.version = it->second + 1;
-  IMPLIANCE_RETURN_IF_ERROR(WriteWal(doc));
+  IMPLIANCE_RETURN_IF_ERROR(AppendLocked(doc));
   it->second = doc.version;
   const uint32_t version = doc.version;
-  memtable_[VersionKey{id, version}] = std::move(doc);
   change_epoch_.fetch_add(1, std::memory_order_release);
   if (memtable_.size() >= options_.memtable_max_docs) {
     IMPLIANCE_RETURN_IF_ERROR(FlushLocked());
@@ -171,7 +174,13 @@ Result<uint32_t> DocumentStore::LatestVersion(model::DocId id) const {
 
 Result<model::Document> DocumentStore::GetLocked(const VersionKey& key) const {
   auto mem_it = memtable_.find(key);
-  if (mem_it != memtable_.end()) return mem_it->second;
+  if (mem_it != memtable_.end()) {
+    model::Document doc;
+    if (!model::Document::Decode(mem_it->second, &doc)) {
+      return Status::Corruption("undecodable memtable record");
+    }
+    return doc;
+  }
   // Newest segment first; bloom filters skip most of them.
   for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
     if (!(*it)->MayContain(key)) continue;
@@ -220,8 +229,8 @@ Status DocumentStore::FlushLocked() {
   const uint64_t segment_id = next_segment_id_++;
   SegmentBuilder builder(SegmentPath(segment_id), segment_id,
                          memtable_.size(), options_.compress_segments);
-  for (const auto& [key, doc] : memtable_) {
-    IMPLIANCE_RETURN_IF_ERROR(builder.Add(doc));
+  for (const auto& [key, encoded] : memtable_) {
+    IMPLIANCE_RETURN_IF_ERROR(builder.Add(key, encoded));
   }
   IMPLIANCE_RETURN_IF_ERROR(builder.Finish());
   IMPLIANCE_ASSIGN_OR_RETURN(
@@ -236,6 +245,15 @@ Status DocumentStore::FlushLocked() {
   IMPLIANCE_ASSIGN_OR_RETURN(wal_,
                              WalWriter::Open(WalPath(), options_.sync_wal));
   change_epoch_.fetch_add(1, std::memory_order_release);
+#if defined(__GLIBC__)
+  // Hand freed heap pages back to the OS, as jemalloc's and tcmalloc's
+  // background purging would. glibc keeps them resident in each thread's
+  // arena: the buffers indexes outgrow as they double, and query
+  // temporaries, leave holes that long-lived entries pin, so resident
+  // memory tracks the high-water mark rather than live data. Once per
+  // flush is often enough to matter and rare enough to cost nothing.
+  malloc_trim(0);
+#endif
   return Status::OK();
 }
 

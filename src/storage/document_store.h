@@ -99,7 +99,8 @@ class DocumentStore {
 
   Status RecoverSegments();
   Status RecoverWal();
-  Status WriteWal(const model::Document& doc);
+  // Encodes `doc`, appends it to the WAL, and keeps it in the memtable.
+  Status AppendLocked(const model::Document& doc);
   Status FlushLocked();
   Result<model::Document> GetLocked(const VersionKey& key) const;
   std::string WalPath() const;
@@ -109,7 +110,9 @@ class DocumentStore {
   mutable std::mutex mutex_;
   std::unique_ptr<BlockCache> cache_;
   std::unique_ptr<WalWriter> wal_;
-  std::map<VersionKey, model::Document> memtable_;
+  // Unflushed versions, as Document::Encode bytes: one allocation each,
+  // where a decoded document is a tree of them.
+  std::map<VersionKey, std::string> memtable_;
   std::vector<std::unique_ptr<SegmentReader>> segments_;  // oldest first
   std::map<model::DocId, uint32_t> latest_version_;
   model::DocId next_id_ = 1;

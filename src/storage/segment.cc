@@ -26,23 +26,26 @@ SegmentBuilder::SegmentBuilder(std::string path, uint64_t segment_id,
       bloom_(expected_docs) {}
 
 Status SegmentBuilder::Add(const model::Document& doc) {
-  IMPLIANCE_CHECK(!finished_);
   std::string encoded;
   doc.Encode(&encoded);
+  return Add(VersionKey{doc.id, doc.version}, encoded);
+}
 
+Status SegmentBuilder::Add(const VersionKey& key, std::string_view encoded) {
+  IMPLIANCE_CHECK(!finished_);
   // Compress when it pays; tiny or incompressible documents stay raw.
   uint8_t flag = 0;
+  std::string packed;
   if (compress_) {
-    std::string packed;
     LzCompress(encoded, &packed);
     if (packed.size() < encoded.size()) {
       flag = 1;
-      encoded = std::move(packed);
+      encoded = packed;
     }
   }
 
   IndexEntry entry;
-  entry.key = VersionKey{doc.id, doc.version};
+  entry.key = key;
   entry.offset = buffer_.size();
 
   buffer_.push_back(static_cast<char>(flag));
@@ -156,6 +159,7 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
   if (!GetVarint64(&index_view, &count)) {
     return Status::Corruption("bad segment index: " + path);
   }
+  reader->records_end_ = index_offset;
   reader->keys_.reserve(count);
   reader->extents_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -187,10 +191,10 @@ Result<model::Document> SegmentReader::Get(const VersionKey& key) {
   }
   const Extent& extent = extents_[it - keys_.begin()];
 
-  IMPLIANCE_ASSIGN_OR_RETURN(BlockCache::PayloadHandle record,
+  IMPLIANCE_ASSIGN_OR_RETURN(const std::string record,
                              ReadRecordBytes(extent));
 
-  std::string_view input(*record);
+  std::string_view input(record);
   if (input.empty()) return Status::Corruption("empty segment record");
   const uint8_t flag = static_cast<uint8_t>(input[0]);
   input.remove_prefix(1);
@@ -220,28 +224,39 @@ Result<model::Document> SegmentReader::Get(const VersionKey& key) {
   return doc;
 }
 
-Result<BlockCache::PayloadHandle> SegmentReader::ReadRecordBytes(
-    const Extent& extent) {
-  if (cache_ != nullptr) {
-    if (BlockCache::PayloadHandle cached =
-            cache_->Get(segment_id_, extent.offset)) {
-      return cached;
+Result<std::string> SegmentReader::ReadFile(uint64_t offset, uint64_t size) {
+  std::string bytes(size, '\0');
+  std::lock_guard<std::mutex> lock(io_mutex_);
+  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
+      std::fread(bytes.data(), 1, size, file_) != size) {
+    return Status::IOError("segment record read failed");
+  }
+  return bytes;
+}
+
+Result<std::string> SegmentReader::ReadRecordBytes(const Extent& extent) {
+  if (cache_ == nullptr || extent.offset + extent.size > records_end_) {
+    return ReadFile(extent.offset, extent.size);
+  }
+  std::string record;
+  record.reserve(extent.size);
+  const uint64_t end = extent.offset + extent.size;
+  for (uint64_t block = extent.offset / kCacheBlockBytes * kCacheBlockBytes;
+       block < end; block += kCacheBlockBytes) {
+    BlockCache::PayloadHandle bytes = cache_->Get(segment_id_, block);
+    if (bytes == nullptr) {
+      IMPLIANCE_ASSIGN_OR_RETURN(
+          std::string read,
+          ReadFile(block, std::min(kCacheBlockBytes, records_end_ - block)));
+      bytes = std::make_shared<const std::string>(std::move(read));
+      cache_->Put(segment_id_, block, bytes);
     }
+    const uint64_t from = std::max(extent.offset, block);
+    const uint64_t to = std::min(end, block + bytes->size());
+    if (to <= from) return Status::Corruption("segment record past its block");
+    record.append(*bytes, from - block, to - from);
   }
-  std::string record(extent.size, '\0');
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    if (std::fseek(file_, static_cast<long>(extent.offset), SEEK_SET) != 0 ||
-        std::fread(record.data(), 1, extent.size, file_) != extent.size) {
-      return Status::IOError("segment record read failed");
-    }
-  }
-  // One allocation serves both the caller and the cache.
-  auto handle = std::make_shared<const std::string>(std::move(record));
-  if (cache_ != nullptr) {
-    cache_->Put(segment_id_, extent.offset, handle);
-  }
-  return handle;
+  return record;
 }
 
 }  // namespace impliance::storage

@@ -39,7 +39,9 @@ struct VersionKey {
 //                      fixed64 magic
 //
 // The index and bloom filter are held in memory after open; records are
-// read on demand through the shared BlockCache. With `compress` set,
+// read on demand through the shared BlockCache, a kCacheBlockBytes block
+// of the record area at a time: a small record cached on its own would
+// cost more in cache bookkeeping than in bytes. With `compress` set,
 // records are LZ-compressed when that actually shrinks them — the
 // storage-software compression pushdown of Section 3.1.
 class SegmentBuilder {
@@ -48,6 +50,8 @@ class SegmentBuilder {
                  bool compress = false);
 
   Status Add(const model::Document& doc);
+  // Adds a version given as Document::Encode bytes.
+  Status Add(const VersionKey& key, std::string_view encoded);
   Status Finish();
 
   size_t num_docs() const { return index_.size(); }
@@ -99,12 +103,16 @@ class SegmentReader {
     uint64_t size;
   };
 
+  static constexpr uint64_t kCacheBlockBytes = 4096;
+
   SegmentReader(std::FILE* file, uint64_t segment_id, BlockCache* cache)
       : file_(file), segment_id_(segment_id), cache_(cache), bloom_(1) {}
 
-  // Returns a refcounted handle to the raw record bytes: a cache hit shares
-  // the cached allocation instead of copying it.
-  Result<BlockCache::PayloadHandle> ReadRecordBytes(const Extent& extent);
+  // The raw bytes of one record, assembled from the cached blocks that
+  // cover it.
+  Result<std::string> ReadRecordBytes(const Extent& extent);
+  // Reads [offset, offset + size) of the file.
+  Result<std::string> ReadFile(uint64_t offset, uint64_t size);
 
   std::FILE* file_;
   uint64_t segment_id_;
@@ -112,6 +120,7 @@ class SegmentReader {
   BloomFilter bloom_;
   std::vector<VersionKey> keys_;          // sorted
   std::vector<Extent> extents_;           // parallel to keys_
+  uint64_t records_end_ = 0;              // end of the record area
   std::mutex io_mutex_;                   // serializes fseek+fread pairs
   uint64_t compressed_records_ = 0;
 };

@@ -11,6 +11,7 @@
 #include "cluster/cluster.h"
 #include "cluster/node.h"
 #include "cluster/scheduler.h"
+#include "common/fault_injector.h"
 #include "discovery/pattern_annotator.h"
 #include "model/document.h"
 
@@ -717,6 +718,84 @@ TEST(ClusterTest, ReReplicateReportsUnrestorableDocs) {
   const SimulatedCluster::ReReplicateReport healed = cluster.ReReplicate();
   EXPECT_EQ(healed.docs_unrestored, 0u);
   EXPECT_EQ(cluster.num_fully_replicated_documents(), 20u);
+}
+
+TEST(ClusterTest, WritesReseedATabletWhoseHoldersWereAllLost) {
+  SimulatedCluster cluster({.num_data_nodes = 2, .replication = 1});
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(cluster.Ingest(Order("x", i)).ok());
+  }
+  cluster.FailNode(0);
+  cluster.DetectFailures();
+  const size_t lost = 40 - cluster.num_available_documents();
+  ASSERT_GT(lost, 0u);
+  cluster.RecoverNode(0);
+  // Every later write lands, also those routed to node 0's old tablets.
+  std::vector<model::DocId> fresh;
+  for (int i = 0; i < 40; ++i) {
+    Result<model::DocId> id = cluster.Ingest(Order("y", i));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    fresh.push_back(*id);
+  }
+  for (model::DocId id : fresh) EXPECT_TRUE(cluster.Get(id).ok()) << id;
+  EXPECT_EQ(cluster.num_documents(), 80u);
+  EXPECT_EQ(cluster.num_available_documents(), 80u - lost);
+  EXPECT_TRUE(cluster.CheckIntegrity().ok());
+  // Reads keep reporting the lost documents.
+  ShipStats ship;
+  std::shared_ptr<const Availability> available = cluster.AvailableDocs(&ship);
+  EXPECT_TRUE(ship.degraded);
+  EXPECT_GE(ship.missing_partitions, lost);
+  EXPECT_FALSE(available->complete());
+  SimulatedCluster::AggQuery query;
+  query.kind = "order";
+  const SimulatedCluster::AggResult count = cluster.FilterAggregate(query, true);
+  EXPECT_TRUE(count.stats.degraded);
+  EXPECT_EQ(count.stats.missing_partitions, lost);
+  EXPECT_DOUBLE_EQ(count.groups.at(""), 80.0 - lost);
+}
+
+TEST(ClusterTest, RepairDoesNotKeepAStaleCopyOfEqualVersion) {
+  // Two nodes: the only spare for a repair is the holder that missed a
+  // store.
+  SimulatedCluster cluster({.num_data_nodes = 2, .replication = 2});
+  Document old_doc = Order("old", 1);
+  old_doc.id = 7;
+  ASSERT_TRUE(cluster.Ingest(old_doc).ok());
+  // Re-ingest the same id at the same version with other content; the
+  // second holder's store is dropped, so it keeps the old bytes and is
+  // dropped as a holder.
+  Document new_doc = Order("new", 2);
+  new_doc.id = 7;
+  new_doc.version = 1;
+  {
+    FaultInjector injector(/*seed=*/3);
+    injector.ArmAtHit("node.submit.drop", 2);
+    FaultInjector::Install(&injector);
+    const Result<model::DocId> id = cluster.Ingest(new_doc);
+    FaultInjector::Install(nullptr);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(injector.triggers("node.submit.drop"), 1u);
+  }
+  EXPECT_EQ(cluster.num_fully_replicated_documents(), 0u);
+  EXPECT_EQ(cluster.ReReplicate().docs_unrestored, 0u);
+  EXPECT_EQ(cluster.num_fully_replicated_documents(), 1u);
+  // Read from the repaired copy alone.
+  const uint64_t key = KeyRanges::RouteKey(false, 7);
+  for (const SimulatedCluster::PartitionDesc& desc : cluster.PartitionTable()) {
+    if (key < desc.lo || (key >= desc.hi && desc.hi != UINT64_MAX)) continue;
+    ASSERT_EQ(desc.replicas.size(), 2u);
+    cluster.FailNode(desc.replicas.front());
+  }
+  cluster.DetectFailures();
+  Result<Document> got = cluster.Get(7);
+  ASSERT_TRUE(got.ok());
+  std::string want_bytes, got_bytes;
+  new_doc.Encode(&want_bytes);
+  got->Encode(&got_bytes);
+  EXPECT_EQ(got_bytes, want_bytes);
+  EXPECT_EQ(cluster.KeywordSearch("old", 10, nullptr).size(), 0u);
+  EXPECT_EQ(cluster.KeywordSearch("new", 10, nullptr).size(), 1u);
 }
 
 TEST(ClusterTest, BackgroundBalancerRunsAndStops) {
